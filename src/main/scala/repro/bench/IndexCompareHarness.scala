@@ -74,12 +74,12 @@ object IndexCompareHarness {
       val b = Indexes.build(spark, sents)
       writeStore(b.word, s"$tmpDir/koko/word")
       writeStore(b.entity, s"$tmpDir/koko/entity")
-      writeStore(b.plClosure, s"$tmpDir/koko/plClosure")
-      writeStore(b.posClosure, s"$tmpDir/koko/posClosure")
+      writeStore(Indexes.closureDf(spark, b.plNodes), s"$tmpDir/koko/plClosure")
+      writeStore(Indexes.closureDf(spark, b.posNodes), s"$tmpDir/koko/posClosure")
       b
     }
     val kokoRows = koko.word.count() + koko.entity.count() +
-      koko.plClosure.count() + koko.posClosure.count()
+      Indexes.closureDf(spark, koko.plNodes).count() + Indexes.closureDf(spark, koko.posNodes).count()
 
     val (inv, tI) = timed {
       val df = InvertedIndex.build(simpleTokens(spark, sents)).cache()

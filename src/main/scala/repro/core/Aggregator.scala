@@ -11,9 +11,23 @@ import repro.nlp.{ClauseDecomposer, Embeddings, Sent, TreeOps, Vocab}
   * `conf = maxᵢ Σⱼ match(dᵢ, cⱼ)` with `match(dᵢ, cⱼ) = kᵢ·lⱼ` when the
   * expanded descriptor's word sequence occurs in order (gaps allowed) in
   * canonical clause `cⱼ`; the document score is the sum over sentences.
+  *
+  * [[aggregate]] applies a query's satisfying and excluding clauses to one
+  * document's extract tuples; the engine and [[NaiveKoko]] both call it.
   */
 object Aggregator {
   import Ast._
+  import Normalizer.NormQuery
+  import SentenceEvaluator.Cand
+
+  /** One output row of a KOKO query: an extract tuple plus the scores of
+    * its satisfying clauses, keyed by variable.
+    */
+  final case class OutRow(
+      doc: Long,
+      sid: Long,
+      vals: Map[String, String],
+      scores: Map[String, Double])
 
   /** Occurrence start indices of a token sequence in a sentence
     * (case-insensitive, contiguous).
@@ -116,7 +130,22 @@ object Aggregator {
   def score(sat: Satisfying, value: String, docSents: Seq[Sent]): Double =
     sat.conds.map(c => c.weight * condScore(c, value, docSents)).sum
 
-  /** True iff any excluding condition fires for the value. */
-  def excluded(ex: Seq[SatCond], value: String, docSents: Seq[Sent]): Boolean =
-    ex.exists(c => condScore(c, value, docSents) > 0.0)
+  /** The output rows of one document (§4.4.1): each tuple is scored by
+    * every satisfying clause (once per distinct value in the document) and
+    * kept iff each score reaches its threshold and no excluding condition
+    * fires. `docSents` are all the document's sentences, sorted by `sid`.
+    */
+  def aggregate(nq: NormQuery, tuples: Seq[Cand], docSents: Seq[Sent]): Seq[OutRow] = {
+    val cache = scala.collection.mutable.Map[(String, String), Double]()
+    tuples.flatMap { c =>
+      val scores = nq.satisfying.map { sat =>
+        val v = c.vals(sat.v)
+        sat.v -> cache.getOrElseUpdate((sat.v, v), score(sat, v, docSents))
+      }.toMap
+      val pass = nq.satisfying.forall(sat => scores(sat.v) >= sat.threshold)
+      lazy val excluded = nq.excluding.exists(e =>
+        c.vals.get(e.v).exists(v => condScore(e, v, docSents) > 0))
+      if (pass && !excluded) Some(OutRow(c.doc, c.sid, c.vals, scores)) else None
+    }
+  }
 }

@@ -32,22 +32,13 @@ object KokoEngine {
     def total: Double = normalize + dpli + load + extract + satisfying
   }
 
-  final case class OutRow(
-      doc: Long,
-      sid: Long,
-      vals: Map[String, String],
-      scores: Map[String, Double])
+  type OutRow = Aggregator.OutRow
 
   final case class Result(
       rows: Seq[OutRow],
       timings: Timings,
       nCandidateSents: Long,
       nCandidateTuples: Long)
-
-  /** Candidate tuple emitted by the extract stage (public: Spark codegen
-    * must be able to construct it when deserializing).
-    */
-  final case class Cand(doc: Long, sid: Long, vals: Map[String, String])
 
   /** Per-variable pruning DataFrames (single `sid` column, distinct):
     * dominant node paths via [[Dpli]], span-atom paths/words, and entity
@@ -86,8 +77,7 @@ object KokoEngine {
   def run(
       spark: SparkSession,
       src: String,
-      built: Indexes.Built,
-      useGsp: Boolean = true): Result = {
+      built: Indexes.Built): Result = {
     import spark.implicits._
 
     var t0 = System.nanoTime()
@@ -114,17 +104,9 @@ object KokoEngine {
     t0 = System.nanoTime()
     val gspAcc = spark.sparkContext.longAccumulator("gspNs")
     val bq = spark.sparkContext.broadcast(nq)
-    val needed = nq.neededVars
-    val outputs = nq.outputs
-    val cands = loadedC.flatMap { s =>
-      val q = bq.value
-      SentenceEvaluator.evaluate(q, s, useGsp, ns => gspAcc.add(ns)).flatMap { bound =>
-        val vals = needed.flatMap(v =>
-          bound.get(v).map(b => v -> SentenceEvaluator.valueOf(s, b))).toMap
-        if (outputs.forall(o => vals.contains(o.name))) Some(Cand(s.doc, s.sid, vals))
-        else None
-      }
-    }.cache()
+    val cands = loadedC
+      .flatMap(s => SentenceEvaluator.extract(bq.value, s, ns => gspAcc.add(ns)))
+      .cache()
     val nTuples = cands.count()
     val tGsp = gspAcc.value / 1e9
     val tExtract = (System.nanoTime() - t0) / 1e9 - tGsp
@@ -133,31 +115,15 @@ object KokoEngine {
     t0 = System.nanoTime()
     val rows: Seq[OutRow] =
       if (nq.satisfying.isEmpty && nq.excluding.isEmpty)
-        cands.collect().toSeq.map(c => OutRow(c.doc, c.sid, c.vals, Map.empty))
-      else {
-        val satCs = nq.satisfying
-        val exCs = nq.excluding
+        cands.collect().toSeq.map(c => Aggregator.OutRow(c.doc, c.sid, c.vals, Map.empty))
+      else
         cands.groupByKey(_.doc)
           .cogroup(built.sentences.groupByKey(_.doc)) { (_, cit, sit) =>
             val cs = cit.toSeq
             if (cs.isEmpty) Iterator.empty
-            else {
-              val docSents = sit.toSeq.sortBy(_.sid)
-              val cache = scala.collection.mutable.Map[(String, String), Double]()
-              cs.iterator.flatMap { c =>
-                val scores = satCs.map { sat =>
-                  val v = c.vals(sat.v)
-                  sat.v -> cache.getOrElseUpdate((sat.v, v), Aggregator.score(sat, v, docSents))
-                }.toMap
-                val pass = satCs.forall(s0 => scores(s0.v) >= s0.threshold)
-                lazy val excl = exCs.exists(e =>
-                  c.vals.get(e.v).exists(v => Aggregator.condScore(e, v, docSents) > 0))
-                if (pass && !excl) Some(OutRow(c.doc, c.sid, c.vals, scores)) else None
-              }
-            }
+            else Aggregator.aggregate(bq.value, cs, sit.toSeq.sortBy(_.sid)).iterator
           }
           .collect().toSeq
-      }
     val tSat = (System.nanoTime() - t0) / 1e9
 
     cands.unpersist()

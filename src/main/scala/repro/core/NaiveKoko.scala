@@ -4,52 +4,31 @@ import repro.nlp.Sent
 
 /** Index-free reference implementation of KOKO evaluation.
   *
-  * Runs the exact extract/satisfying semantics over an in-memory corpus
-  * with no index pruning. It is (a) the correctness oracle for
-  * [[KokoEngine]] in the test suite, and (b) the ground truth for the
-  * index *effectiveness* metric (§6.2.2): the set of sentences that truly
-  * contain bindings for all variables of a query.
+  * Runs the shared evaluation core ([[SentenceEvaluator.extract]], then
+  * [[Aggregator.aggregate]] per document) over an in-memory corpus with no
+  * index pruning. It is (a) the correctness oracle for [[KokoEngine]]'s
+  * DPLI pruning and Spark plan in the test suite, and (b) the ground truth
+  * for the index *effectiveness* metric (§6.2.2): the set of sentences
+  * that truly contain bindings for all variables of a query.
   */
 object NaiveKoko {
   import Normalizer.NormQuery
 
-  final case class OutRow(
-      doc: Long,
-      sid: Long,
-      vals: Map[String, String],
-      scores: Map[String, Double])
+  type OutRow = Aggregator.OutRow
 
   /** Sentences where the extract clause has at least one full binding. */
   def matchingSids(nq: NormQuery, sents: Seq[Sent]): Set[Long] =
     sents.filter(s => SentenceEvaluator.evaluate(nq, s, useGsp = true).nonEmpty)
       .map(_.sid).toSet
 
-  /** Full evaluation (extract + satisfying + excluding). */
-  def run(nq: NormQuery, sents: Seq[Sent], useGsp: Boolean = true): Seq[OutRow] = {
-    val byDoc = sents.groupBy(_.doc)
-    val needed = nq.neededVars
-    val cands = for {
-      s <- sents
-      bound <- SentenceEvaluator.evaluate(nq, s, useGsp)
-      vals = needed.flatMap(v => bound.get(v).map(b => v -> SentenceEvaluator.valueOf(s, b))).toMap
-      if nq.outputs.forall(o => vals.contains(o.name))
-    } yield OutRow(s.doc, s.sid, vals, Map.empty)
-
-    val cache = scala.collection.mutable.Map[(Long, String, String), Double]()
-    cands.flatMap { row =>
-      val docSents = byDoc(row.doc).sortBy(_.sid)
-      val scores = nq.satisfying.map { sat =>
-        val v = row.vals(sat.v)
-        sat.v -> cache.getOrElseUpdate((row.doc, sat.v, v), Aggregator.score(sat, v, docSents))
-      }.toMap
-      val pass = nq.satisfying.forall(sat => scores(sat.v) >= sat.threshold)
-      lazy val excl = nq.excluding.exists(e =>
-        row.vals.get(e.v).exists(v => Aggregator.condScore(e, v, docSents) > 0))
-      if (pass && !excl) Some(row.copy(scores = scores)) else None
+  /** Full evaluation (extract + satisfying + excluding), document by document. */
+  def run(nq: NormQuery, sents: Seq[Sent]): Seq[OutRow] =
+    sents.groupBy(_.doc).toSeq.sortBy(_._1).flatMap { case (_, ds) =>
+      val docSents = ds.sortBy(_.sid)
+      Aggregator.aggregate(nq, docSents.flatMap(SentenceEvaluator.extract(nq, _)), docSents)
     }
-  }
 
   /** Parse + normalize + run, for tests. */
-  def runQuery(src: String, sents: Seq[Sent], useGsp: Boolean = true): Seq[OutRow] =
-    run(Normalizer.normalize(KokoParser.parse(src)), sents, useGsp)
+  def runQuery(src: String, sents: Seq[Sent]): Seq[OutRow] =
+    run(Normalizer.normalize(KokoParser.parse(src)), sents)
 }

@@ -22,8 +22,6 @@ object Normalizer {
       excluding: Seq[SatCond],
       varOrder: Seq[String]) {
 
-    def nodeDef(name: String): Option[NodeDef] = nodeDefs.find(_.name == name)
-
     /** Variables whose values feed outputs or satisfying/excluding. */
     def neededVars: Seq[String] =
       (outputs.map(_.name) ++ satisfying.map(_.v) ++ excluding.map(_.v)).distinct

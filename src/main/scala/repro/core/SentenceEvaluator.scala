@@ -32,8 +32,24 @@ object SentenceEvaluator {
     def len: Int = hi - lo + 1
   }
 
+  /** One extract tuple: a sentence's values of the query's needed
+    * variables (public: Spark codegen must be able to construct it).
+    */
+  final case class Cand(doc: Long, sid: Long, vals: Map[String, String])
+
   def valueOf(s: Sent, b: Binding): String =
     if (b.hi < b.lo) "" else (b.lo to b.hi).map(s.toks(_).word).mkString(" ")
+
+  /** One sentence's extract tuples (§4.3): for every GSP binding that binds
+    * all outputs, the values of the variables in `nq.neededVars`.
+    */
+  def extract(nq: NormQuery, s: Sent, gspNs: Long => Unit = _ => ()): Seq[Cand] = {
+    val needed = nq.neededVars
+    evaluate(nq, s, useGsp = true, gspNs).flatMap { bound =>
+      val vals = needed.flatMap(v => bound.get(v).map(b => v -> valueOf(s, b))).toMap
+      if (nq.outputs.forall(o => vals.contains(o.name))) Some(Cand(s.doc, s.sid, vals)) else None
+    }
+  }
 
   def evaluate(
       nq: NormQuery,
@@ -52,11 +68,6 @@ object SentenceEvaluator {
     val pathCands = scala.collection.mutable.Map[PathExpr, Seq[Int]]()
     def candsOfPath(p: PathExpr): Seq[Int] =
       pathCands.getOrElseUpdate(p, PathMatcher.candidates(p, s))
-
-    def occurrences(ws: Seq[String]): Seq[Int] =
-      if (ws.isEmpty) Seq.empty
-      else (0 to t - ws.size).filter(i =>
-        ws.indices.forall(k => s.toks(i + k).word.equalsIgnoreCase(ws(k))))
 
     lazy val allSpans: Seq[Binding] = {
       val b = Vector.newBuilder[Binding]
@@ -87,7 +98,7 @@ object SentenceEvaluator {
       case other =>
         atomCache.getOrElseUpdate(other, other match {
           case APath(p) => candsOfPath(p).map(i => Binding(i, i, i))
-          case AWords(ws) => occurrences(ws).map(i => Binding(i, i + ws.size - 1, -1))
+          case AWords(ws) => Aggregator.occurrences(ws, s).map(i => Binding(i, i + ws.size - 1, -1))
           case AElastic(_, conds) => allSpans.filter(b => elasticAccepts(conds, b))
           case _ => Seq.empty
         })
@@ -98,7 +109,7 @@ object SentenceEvaluator {
       case AVar(n) => bound.get(n).exists(v => v.lo == b.lo && v.hi == b.hi)
       case ASubtree(n) =>
         bound.get(n).exists(v => v.tid >= 0 && meta.lo(v.tid) == b.lo && meta.hi(v.tid) == b.hi)
-      case AWords(ws) => b.len == ws.size && occurrences(ws).contains(b.lo)
+      case AWords(ws) => b.len == ws.size && Aggregator.occurrences(ws, s).contains(b.lo)
       case AElastic(_, conds) => elasticAccepts(conds, b)
     }
 
@@ -154,7 +165,7 @@ object SentenceEvaluator {
           opts.filter(contiguous)
         }
 
-        def rec(j: Int, prevHi: Int, gapBefore: Boolean): Unit = {
+        def rec(j: Int, prevHi: Int): Unit = {
           if (j == unskipped.size) { deriveSkipped().foreach(assignments += _) }
           else {
             val idx = unskipped(j)
@@ -166,12 +177,12 @@ object SentenceEvaluator {
                 else if (j == 0) b.lo >= 0 // leading skipped atoms
                 else if (hasSkippedBetween) b.lo >= prevHi + 1
                 else b.lo == prevHi + 1
-              if (ok) { cur(idx) = b; rec(j + 1, b.hi, hasSkippedBetween) }
+              if (ok) { cur(idx) = b; rec(j + 1, b.hi) }
             }
           }
         }
         if (unskipped.isEmpty) () // cannot happen: plan never skips everything
-        else rec(0, -1, gapBefore = false)
+        else rec(0, -1)
       } else {
         // noGSP: nested loops over every atom in definition order, with
         // consistency (contiguity) checked only on complete assignments.

@@ -27,8 +27,6 @@ final case class HierNode(id: Int, path: String, label: String, depth: Int)
   *  - `plNodes`/`posNodes` — the hierarchy-index dataguides (driver-side;
   *    merging identical nodes removes >99% of tree nodes, so these are
   *    tiny by construction — verified in tests)
-  *  - `plClosure`/`posClosure` — the Closure-Table representation the
-  *    paper stores in PostgreSQL: (id, label, depth, aid, alabel, adepth)
   *  - `sentences`— the parsed-text store (LoadArticle reads from here)
   */
 object Indexes {
@@ -39,9 +37,7 @@ object Indexes {
       word: DataFrame,
       entity: DataFrame,
       plNodes: Seq[HierNode],
-      posNodes: Seq[HierNode],
-      plClosure: DataFrame,
-      posClosure: DataFrame) {
+      posNodes: Seq[HierNode]) {
 
     def spark: SparkSession = tokens.sparkSession
 
@@ -76,7 +72,12 @@ object Indexes {
     }
   }
 
-  private def closureDf(spark: SparkSession, nodes: Seq[HierNode]): DataFrame = {
+  /** The Closure-Table representation of a dataguide that the paper stores
+    * in PostgreSQL: (id, label, depth, aid, alabel, adepth). No lookup reads
+    * it (DPLI matches the driver-side dataguide); it is built for the
+    * index-size comparison and its oracle test.
+    */
+  def closureDf(spark: SparkSession, nodes: Seq[HierNode]): DataFrame = {
     import spark.implicits._
     val byPath = nodes.map(n => n.path -> n).toMap
     val rows = nodes.flatMap { n =>
@@ -114,6 +115,10 @@ object Indexes {
       .toDF("doc", "sid", "tid", "word", "pos", "label", "head", "etype",
         "eid", "lo", "hi", "depth", "plId", "posId")
       .cache()
+    // Materialize the token table so the flattened rows it was built from
+    // can be freed: `Built.unpersist()` then frees everything cached here.
+    tokens.count()
+    withPaths.unpersist()
 
     val word = tokens.select("word", "doc", "sid", "tid", "lo", "hi", "depth", "plId", "posId")
 
@@ -128,7 +133,6 @@ object Indexes {
       .select("entity", "etype", "doc", "sid", "lo", "hi")
       .cache()
 
-    Built(sentences, tokens, word, entity, plNodes, posNodes,
-      closureDf(spark, plNodes), closureDf(spark, posNodes))
+    Built(sentences, tokens, word, entity, plNodes, posNodes)
   }
 }

@@ -23,7 +23,6 @@ object ClauseDecomposer {
       t.head < 0 || (ClauseLabels.contains(t.label) && (t.pos == "verb" || t.pos == "aux"))
     }.map(_.tid)
     if (heads.isEmpty) return Seq(Clause(s.toks.map(_.tid).toVector, 1.0))
-    val headSet = heads.toSet
     heads.map { h =>
       // Tokens in h's subtree not claimed by a nested clause head.
       val nested = heads.filter(o => o != h && meta.lo(h) <= o && o <= meta.hi(h) &&
@@ -35,8 +34,4 @@ object ClauseDecomposer {
       Clause(tids, 1.0)
     }.filter(_.tids.nonEmpty)
   }
-
-  /** Clause word sequences (lower-cased) for matching. */
-  def clauseWords(s: Sent, meta: TreeOps.Meta): Seq[(Vector[String], Double)] =
-    clauses(s, meta).map(c => (c.tids.map(t => s.toks(t).word.toLowerCase), c.score))
 }

@@ -28,12 +28,6 @@ final case class Sent(doc: Long, sid: Long, toks: Seq[Tok]) {
   def t: Int = toks.size
 }
 
-/** A word/hierarchy-index posting — the quintuple `(x, y, u-v, d)` of
-  * Section 3 of the paper: sentence id, token id, first and last token id
-  * of the token's subtree, and the token's depth in the dependency tree.
-  */
-final case class Posting(sid: Long, tid: Int, lo: Int, hi: Int, depth: Int)
-
 /** An entity-index entry — the triple `(x, u-v)` of Section 3, plus the
   * entity type and surface text which the paper tracks in refined indices.
   */

@@ -80,9 +80,6 @@ object TreeOps {
     Right(())
   }
 
-  /** `true` iff `a` is the parent of `d` (head relation). */
-  def isParentOf(toks: Seq[Tok], a: Int, d: Int): Boolean = toks(d).head == a
-
   /** `true` iff `a` is a strict ancestor of `d`. */
   def isAncestorOf(toks: Seq[Tok], a: Int, d: Int): Boolean = {
     var cur = toks(d).head

@@ -58,8 +58,6 @@ object Vocab {
     "Bottle", "Roasters", "House", "Works", "Collective", "Cafe", "Union",
     "Supply", "Mill", "Lab")
 
-  val MachineBrands: Vector[String] = Vector("La Marzocco", "Synesso", "Aeropress")
-
   /** Non-cafe food businesses — near-miss distractors for the quality
     * bench (they also "sell espresso" but are not in the ground truth).
     */
@@ -76,6 +74,4 @@ object Vocab {
   val Dicts: Map[String, Set[String]] = Map(
     "Location" -> (Cities ++ Countries).map(_.toLowerCase).toSet,
     "CoffeeDrinks" -> Drinks.toSet)
-
-  def isLocation(s: String): Boolean = Dicts("Location").contains(s.toLowerCase)
 }

@@ -130,11 +130,31 @@ class AggregatorSpec extends AnyFunSuite {
     assert(math.abs(s - (0.4 * 1.0 + 0.3 * 1.0 + 0.0)) < 1e-9)
   }
 
+  private def normalize(q: String): Normalizer.NormQuery = Normalizer.normalize(KokoParser.parse(q))
+
   test("excluded fires when any excluding condition scores > 0") {
-    val ex = Seq(CDict("x", "Location", 1), CMatches("x", "CEO", 1))
-    assert(Aggregator.excluded(ex, "Portland", Nil))
-    assert(Aggregator.excluded(ex, "CEO", Nil))
-    assert(!Aggregator.excluded(ex, "Blue Bottle", Nil))
+    val nq = normalize(
+      """extract x:Entity from "cafe" if ()
+        |excluding (str(x) in dict("Location")) or (str(x) matches "CEO")""".stripMargin)
+    val tuples = Seq("Portland", "CEO", "Blue Bottle").map(v =>
+      SentenceEvaluator.Cand(0, 0, Map("x" -> v)))
+    assert(Aggregator.aggregate(nq, tuples, Nil) ==
+      Seq(Aggregator.OutRow(0, 0, Map("x" -> "Blue Bottle"), Map.empty)))
+  }
+
+  test("aggregate scores each value per document; a score at the threshold passes") {
+    // Doc 0 has the appositive ", a cafe": 0.25 + 0.5 = 0.75, exactly the
+    // threshold. Doc 1 only says "Blue Bottle serves ...": 0.25 < 0.75.
+    val nq = normalize(
+      """extract x:Entity from "cafe" if ()
+        |satisfying x (str(x) contains "Bottle" {0.25}) or (x ", a cafe" {0.5})
+        |with threshold 0.75""".stripMargin)
+    val doc1 = Seq(mkSent(1, 64, Templates.cafeServes(new Random(5), cafeName)))
+    assert(doc1.flatMap(SentenceEvaluator.extract(nq, _)).exists(_.vals("x") == "Blue Bottle"))
+    val rows = NaiveKoko.run(nq, servesDoc ++ doc1)
+    val blueBottle = rows.filter(_.vals("x") == "Blue Bottle")
+    assert(blueBottle.nonEmpty && blueBottle.forall(_.scores == Map("x" -> 0.75)))
+    assert(rows.forall(_.doc == 0))
   }
 
   test("occurrences finds contiguous case-insensitive token matches") {

@@ -103,14 +103,14 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
     import spark.implicits._
     val nodes = built.plNodes.map(n => (n.id, n.path)).toDF("id", "path")
     Oracle.assertEquivalent(
-      built.plClosure.select("id", "aid"),
+      Indexes.closureDf(spark, built.plNodes).select("id", "aid"),
       "SELECT a.id AS id, b.id AS aid FROM nodes a JOIN nodes b " +
         "ON a.path = b.path OR a.path LIKE b.path || '/%'",
       "nodes" -> nodes)
   }
 
   test("closure table depths are consistent with labels") {
-    val bad = built.plClosure
+    val bad = Indexes.closureDf(spark, built.plNodes)
       .filter(col("adepth") > col("depth")).count()
     assert(bad == 0)
   }
@@ -124,6 +124,15 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
     assert(ratio > 0.95, s"merge ratio $ratio (nodes=${b.plNodes.size}, tokens=$nTokens)")
     assert(1.0 - b.posNodes.size.toDouble / nTokens > 0.95)
     b.unpersist()
+  }
+
+  test("Built.unpersist frees every dataset that build cached") {
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val b = Indexes.build(spark, CorpusGen.corpus(spark, "wiki", 20, seed = 9))
+    b.entity.count()
+    assert(spark.sparkContext.getPersistentRDDs.size > before)
+    b.unpersist()
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
   }
 
   test("every token's plId/posId references an existing dataguide node") {
