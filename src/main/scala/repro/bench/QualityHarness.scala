@@ -36,7 +36,6 @@ object QualityHarness {
   def run(spark: SparkSession, nDocs: Long, thresholds: Seq[Double], seed: Long = 42): Seq[Row] = {
     val corpus = CorpusGen.corpus(spark, "cafe", nDocs, seed)
     val built = Indexes.build(spark, corpus)
-    built.word.count()
     val truth = (0L until nDocs).map(d => d -> CorpusGen.cafeNameOf(d, seed)).toMap
     val rows = for {
       variant <- Seq("koko", "noDescriptors")

@@ -52,8 +52,6 @@ object Table2Harness {
     sizes.flatMap { n =>
       val corpus = CorpusGen.corpus(spark, "wiki", n, seed)
       val built = Indexes.build(spark, corpus)
-      built.word.count() // force index materialization outside query timing
-      built.entity.count()
       val rows = Queries.map { case (nm, q) =>
         val r = KokoEngine.run(spark, q, built)
         val docsWithExtraction = r.rows.map(_.doc).distinct.size

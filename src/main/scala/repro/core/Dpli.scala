@@ -1,116 +1,174 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.index.{HierarchyIndex, Indexes}
+import repro.index.{HierarchyIndex, Indexes, Shard}
 
-/** Decompose Paths and Lookup Indices (§4.2.2, Algorithm 1), on
-  * DataFrames. Posting lists are the quintuples `(sid, tid, lo, hi,
-  * depth)`; the join conditions are exactly the paper's:
+/** Decompose Paths and Lookup Indices (§4.2.2, Algorithm 1), over one
+  * [[Shard]]'s posting lists. A posting list is an ascending array of token
+  * ordinals, i.e. sorted on `(sid, tid)`; each token carries its quintuple
+  * `(sid, tid, lo, hi, depth)`. The joins are merges with exactly the
+  * paper's conditions:
   *
   *  - word-path join: `x₁=x₂ ∧ u₁≤u₂ ∧ v₁≥v₂ ∧ l₂≥l₁+gap` (Example 4.4);
   *  - P₁⋈P₂ (PL vs POS postings): same token, `x₁=x₂ ∧ y₁=y₂`;
   *  - P⋈Q: same token if the path ends in a word, else the P quintuple
   *    must be a descendant of Q's last word with the residual depth gap.
+  *
+  * Path word steps match words exactly; span word atoms match
+  * case-insensitively (as [[PathMatcher]] and [[SentenceEvaluator]] do).
   */
 object Dpli {
 
-  private val PostCols = Seq("sid", "tid", "lo", "hi", "depth")
+  /** A dominant path with its dataguide node ids, matched on the driver;
+    * None for a side whose pattern is all wildcards (no pruning power).
+    */
+  final case class PathLookup(
+      dec: PathDecomposer.Decomposed,
+      plIds: Option[Array[Int]],
+      posIds: Option[Array[Int]])
 
-  private def posting(df: DataFrame): DataFrame =
-    df.select(PostCols.map(col): _*)
+  def resolve(built: Indexes.Built, dec: PathDecomposer.Decomposed): PathLookup = {
+    def ids(nodes: Seq[repro.index.HierNode], pat: Seq[HierarchyIndex.PatStep]): Option[Array[Int]] =
+      if (HierarchyIndex.isTrivial(pat)) None else Some(HierarchyIndex.matchingIds(nodes, pat).toArray)
+    PathLookup(dec, ids(built.plNodes, dec.pl), ids(built.posNodes, dec.pos))
+  }
+
+  /** Ascending intersection of two ascending distinct arrays. */
+  private def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var i = 0
+    var j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) < b(j)) i += 1
+      else if (a(i) > b(j)) j += 1
+      else { out += a(i); i += 1; j += 1 }
+    }
+    out.result()
+  }
+
+  /** The postings `d` of `desc` that lie below some posting `a` of `anc`
+    * in the same sentence: `a.lo ≤ d.lo ∧ a.hi ≥ d.hi ∧ d.depth ≥ a.depth + gap`.
+    * A merge over the sentences both lists touch.
+    */
+  private def below(sh: Shard, anc: Array[Int], desc: Array[Int], gap: Int): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var i = 0
+    var j = 0
+    while (i < anc.length && j < desc.length) {
+      val s = sh.sentOf(math.max(anc(i), desc(j)))
+      val (from, until) = (sh.off(s), sh.off(s + 1))
+      while (i < anc.length && anc(i) < from) i += 1
+      while (j < desc.length && desc(j) < from) j += 1
+      var i1 = i
+      while (i1 < anc.length && anc(i1) < until) i1 += 1
+      while (j < desc.length && desc(j) < until) {
+        val d = desc(j)
+        if ((i until i1).exists { k =>
+            val a = anc(k)
+            sh.lo(a) <= sh.lo(d) && sh.hi(a) >= sh.hi(d) && sh.depth(d) >= sh.depth(a) + gap
+          }) out += d
+        j += 1
+      }
+      i = i1
+    }
+    out.result()
+  }
 
   /** Word-path lookup: successive word-index accesses joined left to
     * right with the ancestor-descendant + depth-gap condition. Returns
     * the postings of the last word on the path.
     */
-  def lookupWordPath(built: Indexes.Built, words: Seq[(Int, String)]): Option[DataFrame] = {
-    if (words.isEmpty) None
-    else {
-      var cur = posting(built.word.filter(col("word") === words.head._2))
-      var prevIdx = words.head._1
-      words.tail.foreach { case (idx, w) =>
-        val gap = idx - prevIdx
-        val nxt = posting(built.word.filter(col("word") === w))
-        cur = cur.alias("a")
-          .join(nxt.alias("b"),
-            col("a.sid") === col("b.sid") &&
-              col("a.lo") <= col("b.lo") && col("a.hi") >= col("b.hi") &&
-              col("b.depth") >= col("a.depth") + gap)
-          .select(PostCols.map(c => col(s"b.$c")): _*)
-        prevIdx = idx
-      }
-      Some(cur)
+  def lookupWordPath(sh: Shard, words: Seq[(Int, String)]): Option[Array[Int]] =
+    words.headOption.map { case (first, w0) =>
+      words.tail.foldLeft((sh.wordPostings(w0), first)) { case ((cur, prevIdx), (idx, w)) =>
+        (below(sh, cur, sh.wordPostings(w), idx - prevIdx), idx)
+      }._1
+    }
+
+  /** P₁⋈P₂: the tokens whose `plId` and `posId` are both in the matched
+    * id sets. Enumerates the smaller side's postings and tests the other
+    * side's id on each token (W stores both ids, §6.2.1).
+    */
+  private def hierPostings(sh: Shard, plIds: Option[Array[Int]], posIds: Option[Array[Int]]): Array[Int] = {
+    def count(ids: Option[Array[Int]], size: Int => Int) = ids.fold(Int.MaxValue)(_.iterator.map(size).sum)
+    val fromPl = count(plIds, sh.byPl.size) <= count(posIds, sh.byPos.size)
+    val (ids, postings, other, column) =
+      if (fromPl) (plIds.get, sh.byPl, posIds, sh.posId) else (posIds.get, sh.byPos, plIds, sh.plId)
+    val all = postings.union(ids)
+    other.fold(all) { o =>
+      val keep = o.toSet
+      all.filter(t => keep.contains(column(t)))
     }
   }
 
-  /** Matching dataguide node ids for one side of the multi-index; None
-    * when the pattern is all-wildcards (no pruning power).
+  /** Candidate bindings (token ordinals) for one dominant path: lookups
+    * on the PL, POS and word indices joined per Algorithm 1. Falls back to
+    * every token only when the path constrains nothing (a descendant-axis
+    * wildcard).
     */
-  private def hierIds(
-      built: Indexes.Built,
-      useParseLabels: Boolean,
-      pat: Seq[HierarchyIndex.PatStep]): Option[Seq[Int]] =
-    if (HierarchyIndex.isTrivial(pat)) None
-    else {
-      val nodes = if (useParseLabels) built.plNodes else built.posNodes
-      Some(HierarchyIndex.matchingIds(nodes, pat))
-    }
-
-  /** Candidate bindings for one dominant path: lookups on the PL, POS and
-    * word indices joined per Algorithm 1. Because W stores both `plId`
-    * and `posId` (§6.2.1), the P₁⋈P₂ join — "quintuples that refer to the
-    * same token" — is a single scan of W with two id-set predicates, not
-    * a shuffle join. Falls back to a full token scan only when the path
-    * constrains nothing (a descendant-axis wildcard).
-    */
-  def lookup(built: Indexes.Built, dec: PathDecomposer.Decomposed): DataFrame = {
-    val plIds = hierIds(built, useParseLabels = true, dec.pl)
-    val posIds = hierIds(built, useParseLabels = false, dec.pos)
-    val p = (plIds, posIds) match {
-      case (None, None) => None
-      case _ =>
-        // Path absent from an index ⇒ empty answer (§4.2.2 Discussion).
-        if (plIds.exists(_.isEmpty) || posIds.exists(_.isEmpty))
-          Some(posting(built.word.filter(lit(false))))
-        else {
-          val conds = plIds.map(ids => col("plId").isInCollection(ids)).toSeq ++
-            posIds.map(ids => col("posId").isInCollection(ids)).toSeq
-          Some(posting(built.word.filter(conds.reduce(_ && _))))
-        }
-    }
-    val q = lookupWordPath(built, dec.words)
+  def lookup(sh: Shard, path: PathLookup): Array[Int] = {
+    val dec = path.dec
+    // A path absent from an index has no ids, hence no postings (§4.2.2 Discussion).
+    val p = if (path.plIds.isEmpty && path.posIds.isEmpty) None else Some(hierPostings(sh, path.plIds, path.posIds))
+    val q = lookupWordPath(sh, dec.words)
+    def gap = (dec.nSteps - 1) - dec.words.last._1
     (p, q) match {
-      case (Some(pd), Some(qd)) =>
-        if (dec.lastIsWord)
-          pd.alias("p")
-            .join(qd.alias("q"), col("p.sid") === col("q.sid") && col("p.tid") === col("q.tid"))
-            .select(PostCols.map(c => col(s"p.$c")): _*)
-        else {
-          val gap = (dec.nSteps - 1) - dec.words.last._1
-          pd.alias("p")
-            .join(qd.alias("q"),
-              col("p.sid") === col("q.sid") &&
-                col("p.lo") >= col("q.lo") && col("p.hi") <= col("q.hi") &&
-                col("p.depth") >= col("q.depth") + gap)
-            .select(PostCols.map(c => col(s"p.$c")): _*)
-        }
-      case (Some(pd), None) => pd
-      case (None, Some(qd)) =>
-        if (dec.lastIsWord) qd
-        else {
-          // word followed by wildcard steps: all tokens below the last
-          // word with the residual depth gap
-          val gap = (dec.nSteps - 1) - dec.words.last._1
-          val all = posting(built.word)
-          all.alias("p")
-            .join(qd.alias("q"),
-              col("p.sid") === col("q.sid") &&
-                col("p.lo") >= col("q.lo") && col("p.hi") <= col("q.hi") &&
-                col("p.depth") >= col("q.depth") + gap)
-            .select(PostCols.map(c => col(s"p.$c")): _*)
-        }
-      case (None, None) => posting(built.word)
+      case (Some(pp), Some(qq)) => if (dec.lastIsWord) intersect(pp, qq) else below(sh, qq, pp, gap)
+      case (Some(pp), None) => pp
+      // word followed by wildcard steps: all tokens below the last word
+      // with the residual depth gap
+      case (None, Some(qq)) => if (dec.lastIsWord) qq else below(sh, qq, sh.tokensOf(sh.sentencesOf(qq)), gap)
+      case (None, None) => Array.range(0, sh.nTokens)
     }
   }
+
+  /** One pruning item of a query: the shard's sentences (ascending) that
+    * can hold a binding of one variable.
+    */
+  sealed trait Item extends Serializable {
+    def sentences(sh: Shard): Array[Int]
+  }
+
+  /** A dominant node path or an absolute span-atom path. */
+  final case class PathItem(path: PathLookup) extends Item {
+    def sentences(sh: Shard): Array[Int] = sh.sentencesOf(lookup(sh, path))
+  }
+
+  /** A span word atom, matched case-insensitively. */
+  final case class WordItem(lower: String) extends Item {
+    def sentences(sh: Shard): Array[Int] = sh.lowerSentences(lower)
+  }
+
+  /** A free entity variable; `etype` None for the `Entity` type. */
+  final case class EntityItem(etype: Option[String]) extends Item {
+    def sentences(sh: Shard): Array[Int] = sh.sentencesOf(sh.mentionPostings(etype))
+  }
+
+  /** The pruning items of a query: dominant node paths, span-atom paths
+    * and words, and entity mentions for free entity variables.
+    */
+  def items(built: Indexes.Built, nq: Normalizer.NormQuery): Seq[Item] = {
+    val nodePaths = nq.nodeDefs.map(d => d.name -> d.path)
+    val byName = nodePaths.toMap
+    val dominant = PathDecomposer.dominantOf(nodePaths).values.toSet.toSeq.sorted
+    def path(p: Ast.PathExpr) = PathItem(resolve(built, PathDecomposer.decompose(p)))
+    val fromNodes = dominant.map(n => path(byName(n)))
+    val fromAtoms = nq.spanDefs.flatMap(_.atoms).flatMap {
+      case Ast.APath(p) if p.isAbsolute => Some(path(p))
+      case Ast.AWords(ws) => ws.find(_.exists(_.isLetterOrDigit)).map(w => WordItem(w.toLowerCase))
+      case _ => None
+    }
+    val fromEnts = nq.freeEnts.map(o => EntityItem(if (o.typ == "Entity") None else Some(o.typ)))
+    fromNodes ++ fromAtoms ++ fromEnts
+  }
+
+  /** The shard's candidate sentences after DPLI: the intersection of the
+    * items' sentences; None when there is no item (empty extract clause —
+    * every sentence is considered, §4.3).
+    */
+  def candidates(sh: Shard, items: Seq[Item]): Option[Array[Int]] =
+    items.headOption.map { first =>
+      items.tail.foldLeft(first.sentences(sh)) { (acc, it) =>
+        if (acc.isEmpty) acc else intersect(acc, it.sentences(sh))
+      }
+    }
 }

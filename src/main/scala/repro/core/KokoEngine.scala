@@ -1,27 +1,35 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.index.Indexes
-import repro.nlp.Sent
+import repro.index.{Indexes, Shard}
 
-/** The KOKO engine: the 4-stage pipeline of Figure 2 on Spark.
+/** The KOKO engine: the pipeline of Figure 2 on Spark, one job per query.
   *
-  *  1. Normalize   — parse + §4.1 normalization (driver);
-  *  2. DPLI        — §4.2 index lookups and posting-list joins
-  *                   (DataFrame joins over the multi-index), producing the
-  *                   candidate-sentence set;
-  *  3. LoadArticle — join candidates back to the parsed-sentence store;
-  *  4. GSP+extract — per-sentence skip-plan + extract-clause evaluation as
-  *                   a `flatMap` scan with the query broadcast;
-  *  5. Aggregate   — satisfying/excluding evaluation per document via
-  *                   `cogroup` with the document's sentences.
+  *  1. Normalize   — parse + §4.1 normalization, and matching the query's
+  *                   paths against the dataguides (driver);
   *
-  * Per-stage wall-clock timings mirror Table 2's breakdown; GSP time is
-  * accumulated across executors with a Spark accumulator (DESIGN.md §5).
+  * then, with the query broadcast, one `mapPartitions` task per
+  * document-partitioned [[Shard]] (no shuffle):
+  *
+  *  2. DPLI        — §4.2 posting-list merges ([[Dpli]]), producing the
+  *                   shard's candidate sentences;
+  *  3. LoadArticle — the candidate sentences as [[repro.nlp.Sent]]s;
+  *  4. GSP+extract — per-sentence skip plan + extract clause
+  *                   ([[SentenceEvaluator.extract]]);
+  *  5. Aggregate   — satisfying/excluding per document that has tuples
+  *                   ([[Aggregator.aggregate]]) over its shard-local
+  *                   sentences.
+  *
+  * [[Timings]] mirror Table 2's breakdown (DESIGN.md §5).
   */
 object KokoEngine {
 
+  /** Per-stage times in seconds. `normalize` is driver wall time (with the
+    * dataguide matching counted in `dpli`); the other stages are busy time
+    * measured inside the tasks and summed over them. `extract` excludes the
+    * GSP time reported in `gsp`; LoadArticle (`load`) includes loading the
+    * documents that `satisfying` scores.
+    */
   final case class Timings(
       normalize: Double,
       dpli: Double,
@@ -29,7 +37,7 @@ object KokoEngine {
       gsp: Double,
       extract: Double,
       satisfying: Double) {
-    def total: Double = normalize + dpli + load + extract + satisfying
+    def total: Double = normalize + dpli + load + gsp + extract + satisfying
   }
 
   type OutRow = Aggregator.OutRow
@@ -40,95 +48,82 @@ object KokoEngine {
       nCandidateSents: Long,
       nCandidateTuples: Long)
 
-  /** Per-variable pruning DataFrames (single `sid` column, distinct):
-    * dominant node paths via [[Dpli]], span-atom paths/words, and entity
-    * mentions for free entity variables.
-    */
-  def pruningItems(built: Indexes.Built, nq: Normalizer.NormQuery): Seq[DataFrame] = {
-    val nodePaths = nq.nodeDefs.map(d => d.name -> d.path)
-    val byName = nodePaths.toMap
-    val dominant = PathDecomposer.dominantOf(nodePaths).values.toSet.toSeq.sorted
-    val fromNodes = dominant.map { n =>
-      Dpli.lookup(built, PathDecomposer.decompose(byName(n))).select("sid").distinct()
-    }
-    val fromAtoms = nq.spanDefs.flatMap(_.atoms).flatMap {
-      case Ast.APath(p) if p.isAbsolute =>
-        Some(Dpli.lookup(built, PathDecomposer.decompose(p)).select("sid").distinct())
-      case Ast.AWords(ws) =>
-        ws.find(_.exists(_.isLetterOrDigit)).map(w =>
-          built.word.filter(lower(col("word")) === w.toLowerCase).select("sid").distinct())
-      case _ => None
-    }
-    val fromEnts = nq.freeEnts.map { o =>
-      val e = if (o.typ == "Entity") built.entity else built.entity.filter(col("etype") === o.typ)
-      e.select("sid").distinct()
-    }
-    fromNodes ++ fromAtoms ++ fromEnts
+  /** A shard's output rows, counts and busy nanoseconds per stage. */
+  private final case class ShardOut(
+      rows: Seq[OutRow], nCand: Long, nTuples: Long,
+      dpli: Long, load: Long, gsp: Long, extract: Long, satisfying: Long)
+
+  private def sidFrame(built: Indexes.Built)(f: Shard => Array[Int]): DataFrame = {
+    import built.spark.implicits._
+    built.shards.mapPartitions(_.flatMap(sh => f(sh).iterator.map(sh.sid(_)))).toDF("sid")
   }
 
-  /** Candidate sentence ids after DPLI; None means "no pruning possible"
-    * (empty extract clause — all sentences are considered, §4.3).
+  /** Per-item pruning DataFrames (single `sid` column, distinct):
+    * dominant node paths, span-atom paths/words, and entity mentions for
+    * free entity variables (see [[Dpli.items]]).
+    */
+  def pruningItems(built: Indexes.Built, nq: Normalizer.NormQuery): Seq[DataFrame] =
+    Dpli.items(built, nq).map(item => sidFrame(built)(item.sentences))
+
+  /** Candidate sentence ids after DPLI, computed by one job over the
+    * shards; None means "no pruning possible" (empty extract clause — all
+    * sentences are considered, §4.3).
     */
   def candidateSids(built: Indexes.Built, nq: Normalizer.NormQuery): Option[DataFrame] = {
-    val items = pruningItems(built, nq)
-    if (items.isEmpty) None else Some(items.reduce(_.intersect(_)))
+    val items = Dpli.items(built, nq)
+    if (items.isEmpty) None else Some(sidFrame(built)(sh => Dpli.candidates(sh, items).get))
+  }
+
+  /** Steps 2–5 on one shard. */
+  private def runShard(nq: Normalizer.NormQuery, items: Seq[Dpli.Item], sh: Shard): ShardOut = {
+    var t = System.nanoTime()
+    def lap(): Long = { val t0 = t; t = System.nanoTime(); t - t0 }
+
+    val cand = Dpli.candidates(sh, items).getOrElse(Array.range(0, sh.nSents))
+    val dpliNs = lap()
+    val loaded = cand.map(sh.sent)
+    var loadNs = lap()
+    var gspNs = 0L
+    val tuples = loaded.toSeq.flatMap(s => SentenceEvaluator.extract(nq, s, gspNs += _))
+    val extractNs = lap() - gspNs
+
+    var satNs = 0L
+    val rows =
+      if (nq.satisfying.isEmpty && nq.excluding.isEmpty)
+        tuples.map(c => Aggregator.OutRow(c.doc, c.sid, c.vals, Map.empty))
+      else
+        tuples.groupBy(_.doc).toSeq.flatMap { case (d, ts) =>
+          lap()
+          val docSents = sh.sentencesOfDoc(d).map(sh.sent)
+          loadNs += lap()
+          val out = Aggregator.aggregate(nq, ts, docSents)
+          satNs += lap()
+          out
+        }
+    ShardOut(rows, cand.length, tuples.size, dpliNs, loadNs, gspNs, extractNs, satNs)
   }
 
   def run(
       spark: SparkSession,
       src: String,
       built: Indexes.Built): Result = {
-    import spark.implicits._
-
     var t0 = System.nanoTime()
     val nq = Normalizer.normalize(KokoParser.parse(src))
     val tNorm = (System.nanoTime() - t0) / 1e9
-
-    // ---- DPLI
     t0 = System.nanoTime()
-    val candSids = candidateSids(built, nq).map(_.cache())
-    val nCand = candSids.map(_.count()).getOrElse(built.sentences.count())
-    val tDpli = (System.nanoTime() - t0) / 1e9
+    val items = Dpli.items(built, nq)
+    val tResolve = (System.nanoTime() - t0) / 1e9
 
-    // ---- LoadArticle
-    t0 = System.nanoTime()
-    val loaded = candSids match {
-      case Some(df) => built.sentences.join(df, "sid").select("doc", "sid", "toks").as[Sent]
-      case None => built.sentences
-    }
-    val loadedC = loaded.cache()
-    loadedC.count()
-    val tLoad = (System.nanoTime() - t0) / 1e9
+    val plan = spark.sparkContext.broadcast((nq, items))
+    val outs =
+      try built.shards.mapPartitions(_.map(sh => runShard(plan.value._1, plan.value._2, sh))).collect()
+      finally plan.destroy()
 
-    // ---- GSP + extract
-    t0 = System.nanoTime()
-    val gspAcc = spark.sparkContext.longAccumulator("gspNs")
-    val bq = spark.sparkContext.broadcast(nq)
-    val cands = loadedC
-      .flatMap(s => SentenceEvaluator.extract(bq.value, s, ns => gspAcc.add(ns)))
-      .cache()
-    val nTuples = cands.count()
-    val tGsp = gspAcc.value / 1e9
-    val tExtract = (System.nanoTime() - t0) / 1e9 - tGsp
-
-    // ---- Aggregate (satisfying + excluding)
-    t0 = System.nanoTime()
-    val rows: Seq[OutRow] =
-      if (nq.satisfying.isEmpty && nq.excluding.isEmpty)
-        cands.collect().toSeq.map(c => Aggregator.OutRow(c.doc, c.sid, c.vals, Map.empty))
-      else
-        cands.groupByKey(_.doc)
-          .cogroup(built.sentences.groupByKey(_.doc)) { (_, cit, sit) =>
-            val cs = cit.toSeq
-            if (cs.isEmpty) Iterator.empty
-            else Aggregator.aggregate(bq.value, cs, sit.toSeq.sortBy(_.sid)).iterator
-          }
-          .collect().toSeq
-    val tSat = (System.nanoTime() - t0) / 1e9
-
-    cands.unpersist()
-    loadedC.unpersist()
-    candSids.foreach(_.unpersist())
-    Result(rows, Timings(tNorm, tDpli, tLoad, tGsp, tExtract, tSat), nCand, nTuples)
+    def secs(f: ShardOut => Long): Double = outs.iterator.map(f).sum / 1e9
+    Result(
+      outs.toSeq.flatMap(_.rows),
+      Timings(tNorm, tResolve + secs(_.dpli), secs(_.load), secs(_.gsp), secs(_.extract), secs(_.satisfying)),
+      outs.iterator.map(_.nCand).sum,
+      outs.iterator.map(_.nTuples).sum)
   }
 }

@@ -1,60 +1,72 @@
 package repro.index
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.nlp.{Sent, TreeOps}
+import org.apache.spark.SparkException
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
+import repro.nlp.Sent
+import scala.reflect.ClassTag
 
-/** One fully-annotated token row — the flattened join of the parsed text
-  * with all per-token index metadata (the paper's W table plus the POS /
-  * parse-label node ids that key into the hierarchy indices).
+/** One fully-annotated token row — the paper's W table plus the POS /
+  * parse-label node ids that key into the hierarchy indices.
   */
 final case class TokenRow(
     doc: Long, sid: Long, tid: Int,
     word: String, pos: String, label: String, head: Int,
     etype: String, eid: Int,
     lo: Int, hi: Int, depth: Int,
-    plPath: String, posPath: String)
+    plId: Int, posId: Int)
+
+/** One entity mention — the paper's E table. */
+final case class EntityRow(entity: String, etype: String, doc: Long, sid: Long, lo: Int, hi: Int)
 
 /** A node of a hierarchy index (compressed dataguide, §3). Identified by
   * its unique root path; `id` is deterministic (rank of the sorted path).
   */
 final case class HierNode(id: Int, path: String, label: String, depth: Int)
 
-/** KOKO's multi-index over a parsed corpus (§3 + §6.2.1):
+/** KOKO's multi-index over a parsed corpus (§3 + §6.2.1), partitioned by
+  * document into cached [[Shard]]s:
   *
-  *  - `word`     — W(word, x, y, u, v, d, plId, posId)
-  *  - `entity`   — E(entity, etype, x, u, v)
+  *  - `shards`   — the only cached data: per shard, the sentences as
+  *    columns and the W / E / lowercased-word posting lists;
   *  - `plNodes`/`posNodes` — the hierarchy-index dataguides (driver-side;
   *    merging identical nodes removes >99% of tree nodes, so these are
-  *    tiny by construction — verified in tests)
-  *  - `sentences`— the parsed-text store (LoadArticle reads from here)
+  *    tiny by construction — verified in tests);
+  *  - `sentences`, `tokens`, `word` (W(word, x, y, u, v, d, plId, posId))
+  *    and `entity` (E(entity, etype, x, u, v)) — uncached views of the
+  *    shards, for the baselines, the benches and the tests.
   */
 object Indexes {
 
-  final case class Built(
-      sentences: Dataset[Sent],
-      tokens: DataFrame,
-      word: DataFrame,
-      entity: DataFrame,
-      plNodes: Seq[HierNode],
-      posNodes: Seq[HierNode]) {
+  final class Built(
+      val spark: SparkSession,
+      val shards: RDD[Shard],
+      val plNodes: Seq[HierNode],
+      val posNodes: Seq[HierNode]) {
 
-    def spark: SparkSession = tokens.sparkSession
+    private def view[A: Encoder: ClassTag](f: Shard => Iterator[A]): Dataset[A] =
+      spark.createDataset(shards.mapPartitions(_.flatMap(f)))
 
-    /** Release cached data (between bench scales). */
-    def unpersist(): Unit = {
-      sentences.unpersist(); tokens.unpersist(); word.unpersist(); entity.unpersist()
+    lazy val sentences: Dataset[Sent] = {
+      import spark.implicits._
+      view(_.sents)
     }
-  }
 
-  /** Flatten sentences to annotated token rows (pure per sentence). */
-  def tokenRows(s: Sent): Seq[TokenRow] = {
-    val m = TreeOps.meta(s.toks)
-    s.toks.map { t =>
-      TokenRow(s.doc, s.sid, t.tid, t.word, t.pos, t.label, t.head, t.etype,
-        t.eid, m.lo(t.tid), m.hi(t.tid), m.depth(t.tid),
-        m.plPath(t.tid), m.posPath(t.tid))
+    lazy val tokens: DataFrame = {
+      import spark.implicits._
+      view(_.tokenRows).toDF()
     }
+
+    lazy val word: DataFrame =
+      tokens.select("word", "doc", "sid", "tid", "lo", "hi", "depth", "plId", "posId")
+
+    lazy val entity: DataFrame = {
+      import spark.implicits._
+      view(_.entityRows).toDF()
+    }
+
+    /** Release the cached shards (between bench scales). */
+    def unpersist(): Unit = shards.unpersist()
   }
 
   private def dataguide(paths: Seq[String]): Seq[HierNode] = {
@@ -90,49 +102,38 @@ object Indexes {
     rows.toDF("id", "label", "depth", "aid", "alabel", "adepth")
   }
 
-  /** Build all indices. The corpus is materialized (cached) because index
-    * construction and query evaluation both scan it.
+  /** Rethrows an input error raised in a task as itself. */
+  private def inputChecked[A](job: => A): A =
+    try job
+    catch { case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] => throw e.getCause }
+
+  /** Build all indices. Every document's sentences go to one partition
+    * (keeping the input's partition count), which is built once into a
+    * cached [[Shard]]. The shards hold every sentence, so the input is read
+    * once and its cache, if the caller made one, is released: the shards
+    * are the only copy of the corpus in Spark storage. Throws
+    * `IllegalArgumentException` on input the shards cannot hold (see
+    * [[Shard.prepare]]).
     */
   def build(spark: SparkSession, sents: Dataset[Sent]): Built = {
     import spark.implicits._
-    val sentences = sents.cache()
-    val withPaths = sentences.flatMap(tokenRows _).cache()
+    val parted = sents.repartition(math.max(1, sents.rdd.getNumPartitions), $"doc").rdd
 
-    val plPaths = withPaths.select($"plPath").distinct().as[String].collect().toSeq
-    val posPaths = withPaths.select($"posPath").distinct().as[String].collect().toSeq
-    val plNodes = dataguide(plPaths)
-    val posNodes = dataguide(posPaths)
-    val plIdMap = plNodes.map(n => n.path -> n.id).toMap
-    val posIdMap = posNodes.map(n => n.path -> n.id).toMap
-    val bPl = spark.sparkContext.broadcast(plIdMap)
-    val bPos = spark.sparkContext.broadcast(posIdMap)
+    val paths = inputChecked(parted.mapPartitions { part =>
+      val metas = Shard.prepare(part).map(_._2)
+      Iterator((metas.flatMap(_.plPath).toSet, metas.flatMap(_.posPath).toSet))
+    }.collect())
+    val plNodes = dataguide(paths.flatMap(_._1).distinct.toSeq)
+    val posNodes = dataguide(paths.flatMap(_._2).distinct.toSeq)
+    val bPl = spark.sparkContext.broadcast(plNodes.map(n => n.path -> n.id).toMap)
+    val bPos = spark.sparkContext.broadcast(posNodes.map(n => n.path -> n.id).toMap)
 
-    val tokens = withPaths
-      .map { r =>
-        (r.doc, r.sid, r.tid, r.word, r.pos, r.label, r.head, r.etype, r.eid,
-         r.lo, r.hi, r.depth, bPl.value(r.plPath), bPos.value(r.posPath))
-      }
-      .toDF("doc", "sid", "tid", "word", "pos", "label", "head", "etype",
-        "eid", "lo", "hi", "depth", "plId", "posId")
+    val shards = parted
+      .mapPartitions(part => Iterator(Shard.build(Shard.prepare(part), bPl.value, bPos.value)))
+      .setName("koko-shards")
       .cache()
-    // Materialize the token table so the flattened rows it was built from
-    // can be freed: `Built.unpersist()` then frees everything cached here.
-    tokens.count()
-    withPaths.unpersist()
-
-    val word = tokens.select("word", "doc", "sid", "tid", "lo", "hi", "depth", "plId", "posId")
-
-    val entity = tokens
-      .filter($"eid" >= 0)
-      .groupBy($"doc", $"sid", $"eid", $"etype")
-      .agg(
-        min($"tid").as("lo"),
-        max($"tid").as("hi"),
-        array_join(transform(array_sort(collect_list(struct($"tid", $"word"))),
-          x => x.getField("word")), " ").as("entity"))
-      .select("entity", "etype", "doc", "sid", "lo", "hi")
-      .cache()
-
-    Built(sentences, tokens, word, entity, plNodes, posNodes)
+    inputChecked(shards.count())
+    sents.unpersist(blocking = true)
+    new Built(spark, shards, plNodes, posNodes)
   }
 }

@@ -1,0 +1,241 @@
+package repro.index
+
+import java.util.Arrays
+import repro.nlp.{CorpusGen, Sent, Tok, TreeOps}
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
+
+/** Posting lists in compressed-row form: the postings of key `k` are
+  * `items(start(k) until start(k + 1))`, in ascending order.
+  */
+final class Postings private (start: Array[Int], items: Array[Int]) extends Serializable {
+
+  private def has(key: Int): Boolean = key >= 0 && key + 1 < start.length
+
+  def size(key: Int): Int = if (has(key)) start(key + 1) - start(key) else 0
+
+  def apply(key: Int): Array[Int] =
+    if (has(key)) Arrays.copyOfRange(items, start(key), start(key + 1)) else Array.emptyIntArray
+
+  /** The ascending union of several keys' postings; keys must not share
+    * an item (every token has one word, one `plId`, ...).
+    */
+  def union(keys: Iterable[Int]): Array[Int] = {
+    val out = new Array[Int](keys.iterator.map(size).sum)
+    var n = 0
+    keys.foreach { k =>
+      if (has(k)) {
+        System.arraycopy(items, start(k), out, n, size(k))
+        n += size(k)
+      }
+    }
+    Arrays.sort(out)
+    out
+  }
+}
+
+object Postings {
+
+  /** Groups `items(i)` under `keys(i)` (keys in `[0, nKeys)`). The sort is
+    * stable, so each list keeps the order of `items`.
+    */
+  def group(nKeys: Int, keys: Array[Int], items: Array[Int]): Postings = {
+    val start = new Array[Int](nKeys + 1)
+    keys.foreach(k => start(k + 1) += 1)
+    (0 until nKeys).foreach(k => start(k + 1) += start(k))
+    val fill = Arrays.copyOf(start, nKeys)
+    val out = new Array[Int](items.length)
+    items.indices.foreach { i =>
+      out(fill(keys(i))) = items(i)
+      fill(keys(i)) += 1
+    }
+    new Postings(start, out)
+  }
+}
+
+/** One doc-partitioned shard of KOKO's multi-index (§3, §6.2.1): every
+  * sentence of the shard's documents, in `sid` order, as primitive columns.
+  *
+  * A token is addressed by its *ordinal*: `off(s) + tid` for the token
+  * `tid` of the shard's `s`-th sentence. Ordinals ascend with `(sid, tid)`,
+  * so every posting list below is sorted on `(sid, tid)` and Algorithm 1's
+  * joins are merges ([[repro.core.Dpli]]). Strings (`word`, `pos`, `label`,
+  * `etype`) are ids into the shard's sorted dictionary `dict`; `plId` and
+  * `posId` are global dataguide node ids.
+  *
+  * Postings: W by word, by `plId` and by `posId` (token ordinals); E by
+  * entity type (the ordinal of each mention's first token); and a
+  * lowercased word → sentence list for span word atoms.
+  */
+final class Shard private (
+    dict: Array[String],
+    val sid: Array[Long],
+    val doc: Array[Long],
+    val off: Array[Int],
+    word: Array[Int],
+    pos: Array[Int],
+    label: Array[Int],
+    etype: Array[Int],
+    val head: Array[Int],
+    val eid: Array[Int],
+    val lo: Array[Int],
+    val hi: Array[Int],
+    val depth: Array[Int],
+    val plId: Array[Int],
+    val posId: Array[Int],
+    byWord: Postings,
+    val byPl: Postings,
+    val byPos: Postings,
+    byEtype: Postings,
+    byLower: Postings) extends Serializable {
+
+  def nSents: Int = sid.length
+  def nTokens: Int = off(nSents)
+
+  /** Dictionary id of `s`, or -1 if no token of the shard uses it. */
+  def idOf(s: String): Int = math.max(-1, Arrays.binarySearch(dict.asInstanceOf[Array[AnyRef]], s))
+
+  /** The sentence holding token ordinal `o`. */
+  def sentOf(o: Int): Int = {
+    val i = Arrays.binarySearch(off, o)
+    if (i >= 0) i else -i - 2
+  }
+
+  def tid(o: Int): Int = o - off(sentOf(o))
+
+  /** Postings of an exact word. */
+  def wordPostings(w: String): Array[Int] = byWord(idOf(w))
+
+  /** Sentences with a token whose lowercased word is `lower`. */
+  def lowerSentences(lower: String): Array[Int] = byLower(idOf(lower))
+
+  /** First-token ordinals of the mentions of entity type `typ`; of every
+    * mention when `typ` is None.
+    */
+  def mentionPostings(typ: Option[String]): Array[Int] = typ match {
+    case Some(t) => byEtype(idOf(t))
+    case None => byEtype.union(dict.indices)
+  }
+
+  /** Ascending distinct sentences of ascending token ordinals. */
+  def sentencesOf(ords: Array[Int]): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var last = -1
+    ords.foreach { o =>
+      val s = sentOf(o)
+      if (s != last) { out += s; last = s }
+    }
+    out.result()
+  }
+
+  /** Every token ordinal of the given ascending sentences. */
+  def tokensOf(sents: Array[Int]): Array[Int] =
+    sents.flatMap(s => off(s) until off(s + 1))
+
+  /** The sentences of document `d`, by the `sid` layout `d * 64 + k`. */
+  def sentencesOfDoc(d: Long): Range = {
+    def firstAtLeast(x: Long): Int = {
+      val i = Arrays.binarySearch(sid, x)
+      if (i >= 0) i else -i - 1
+    }
+    firstAtLeast(CorpusGen.gsid(d, 0)) until firstAtLeast(CorpusGen.gsid(d + 1, 0))
+  }
+
+  /** LoadArticle: sentence `s` as the evaluator reads it. */
+  def sent(s: Int): Sent = {
+    val base = off(s)
+    Sent(doc(s), sid(s), ArraySeq.unsafeWrapArray(Array.tabulate(off(s + 1) - base) { t =>
+      val o = base + t
+      Tok(t, dict(word(o)), dict(pos(o)), dict(label(o)), head(o), dict(etype(o)), eid(o))
+    }))
+  }
+
+  def sents: Iterator[Sent] = Iterator.range(0, nSents).map(sent)
+
+  def tokenRows: Iterator[TokenRow] = Iterator.range(0, nSents).flatMap { s =>
+    Iterator.range(off(s), off(s + 1)).map { o =>
+      TokenRow(doc(s), sid(s), o - off(s), dict(word(o)), dict(pos(o)), dict(label(o)), head(o),
+        dict(etype(o)), eid(o), lo(o), hi(o), depth(o), plId(o), posId(o))
+    }
+  }
+
+  /** The E table: one row per `(eid, etype)` group of a sentence. */
+  def entityRows: Iterator[EntityRow] = Iterator.range(0, nSents).flatMap { s =>
+    Iterator.range(off(s), off(s + 1)).filter(eid(_) >= 0)
+      .toSeq.groupBy(o => (eid(o), etype(o))).valuesIterator.map { os =>
+        EntityRow(os.map(o => dict(word(o))).mkString(" "), dict(etype(os.head)), doc(s), sid(s),
+          os.head - off(s), os.last - off(s))
+      }
+  }
+}
+
+object Shard {
+
+  /** One partition's sentences in `sid` order, each with its tree metadata.
+    * Fails loudly on input the layout cannot hold: a `sid` outside
+    * `[doc * 64, doc * 64 + 63]` (a document with more than
+    * [[CorpusGen.MaxSentsPerDoc]] sentences), a duplicate `sid`, or a
+    * malformed dependency tree. All of a document's sentences must be in
+    * the partition.
+    */
+  def prepare(part: Iterator[Sent]): Array[(Sent, TreeOps.Meta)] = {
+    val sents = part.toArray.sortBy(_.sid)
+    sents.foreach { s =>
+      if (Math.floorDiv(s.sid, CorpusGen.MaxSentsPerDoc.toLong) != s.doc)
+        throw new IllegalArgumentException(
+          s"document ${s.doc}: sentence id ${s.sid} is outside [${CorpusGen.gsid(s.doc, 0)}, " +
+            s"${CorpusGen.gsid(s.doc + 1, 0) - 1}]; a document holds at most " +
+            s"${CorpusGen.MaxSentsPerDoc} sentences")
+    }
+    sents.sliding(2).foreach {
+      case Array(a, b) if a.sid == b.sid =>
+        throw new IllegalArgumentException(s"document ${a.doc}: duplicate sentence id ${a.sid}")
+      case _ => ()
+    }
+    sents.map { s =>
+      TreeOps.validate(s.toks).left.foreach(msg =>
+        throw new IllegalArgumentException(s"sentence ${s.sid} (document ${s.doc}): malformed tree: $msg"))
+      s -> TreeOps.meta(s.toks)
+    }
+  }
+
+  /** Builds a shard from [[prepare]]'s output; `plIds`/`posIds` map each
+    * root path to its global dataguide node id.
+    */
+  def build(sents: Array[(Sent, TreeOps.Meta)], plIds: Map[String, Int], posIds: Map[String, Int]): Shard = {
+    val off = sents.scanLeft(0)(_ + _._1.t)
+    val n = off.last
+    val strings = mutable.HashSet[String]()
+    sents.foreach(_._1.toks.foreach(t => strings ++= Seq(t.word, t.word.toLowerCase, t.pos, t.label, t.etype)))
+    val dict = strings.toArray.sorted
+    val id = dict.zipWithIndex.toMap
+    def col() = new Array[Int](n)
+    val (word, lower, pos, label, etype) = (col(), col(), col(), col(), col())
+    val (head, eid, lo, hi, depth, plId, posId) = (col(), col(), col(), col(), col(), col(), col())
+    val mentionStarts = Array.newBuilder[Int]
+    val (lowerKeys, lowerSents) = (Array.newBuilder[Int], Array.newBuilder[Int])
+    sents.indices.foreach { s =>
+      val (sent, m) = sents(s)
+      val mentions = mutable.HashSet[(Int, String)]()
+      sent.toks.foreach { t =>
+        val o = off(s) + t.tid
+        word(o) = id(t.word); lower(o) = id(t.word.toLowerCase)
+        pos(o) = id(t.pos); label(o) = id(t.label); etype(o) = id(t.etype)
+        head(o) = t.head; eid(o) = t.eid
+        lo(o) = m.lo(t.tid); hi(o) = m.hi(t.tid); depth(o) = m.depth(t.tid)
+        plId(o) = plIds(m.plPath(t.tid)); posId(o) = posIds(m.posPath(t.tid))
+        if (t.eid >= 0 && mentions.add((t.eid, t.etype))) mentionStarts += o
+      }
+      lower.slice(off(s), off(s + 1)).distinct.foreach { k => lowerKeys += k; lowerSents += s }
+    }
+    val ords = Array.range(0, n)
+    val starts = mentionStarts.result()
+    new Shard(dict, sents.map(_._1.sid), sents.map(_._1.doc), off,
+      word, pos, label, etype, head, eid, lo, hi, depth, plId, posId,
+      byWord = Postings.group(dict.length, word, ords),
+      byPl = Postings.group(plIds.size, plId, ords),
+      byPos = Postings.group(posIds.size, posId, ords),
+      byEtype = Postings.group(dict.length, starts.map(etype), starts),
+      byLower = Postings.group(dict.length, lowerKeys.result(), lowerSents.result()))
+  }
+}

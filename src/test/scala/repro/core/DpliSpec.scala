@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
-import repro.index.Indexes
+import repro.index.{Indexes, Shard}
 import repro.nlp.CorpusGen
 
 class DpliSpec extends AnyFunSuite with SparkSpec {
@@ -17,6 +17,27 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
   private def path(src: String): Ast.PathExpr =
     Normalizer.normalize(KokoParser.parse(
       s"""extract x:Str from f if ( /ROOT:{ x = $src } )""")).nodeDefs.head.path
+
+  /** The DataFrame form of [[repro.core.Dpli]]'s lookups these tests
+    * check: a shard-level lookup run on every shard, its token ordinals as
+    * `(sid, tid, lo, hi, depth)` rows.
+    */
+  private object Dpli {
+    private def postings(b: Indexes.Built)(f: Shard => Array[Int]): org.apache.spark.sql.DataFrame = {
+      import spark.implicits._
+      b.shards.mapPartitions(_.flatMap { sh =>
+        f(sh).iterator.map(o => (sh.sid(sh.sentOf(o)), sh.tid(o), sh.lo(o), sh.hi(o), sh.depth(o)))
+      }).toDF("sid", "tid", "lo", "hi", "depth")
+    }
+
+    def lookup(b: Indexes.Built, dec: PathDecomposer.Decomposed): org.apache.spark.sql.DataFrame = {
+      val p = repro.core.Dpli.resolve(b, dec)
+      postings(b)(repro.core.Dpli.lookup(_, p))
+    }
+
+    def lookupWordPath(b: Indexes.Built, words: Seq[(Int, String)]): Option[org.apache.spark.sql.DataFrame] =
+      if (words.isEmpty) None else Some(postings(b)(repro.core.Dpli.lookupWordPath(_, words).get))
+  }
 
   private def sids(df: org.apache.spark.sql.DataFrame): Set[(Long, Int)] =
     df.select("sid", "tid").collect().map(r => (r.getLong(0), r.getInt(1))).toSet

@@ -1,5 +1,9 @@
 package repro.core
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.Dataset
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.bench.{QualityHarness, Table2Harness}
@@ -13,9 +17,10 @@ class KokoEngineSpec extends AnyFunSuite with SparkSpec {
   private def canon(rows: Seq[Aggregator.OutRow]): Map[Aggregator.OutRow, Int] =
     rows.groupMapReduce(identity)(_ => 1)(_ + _)
 
-  private def engineEqualsNaive(kind: String, nDocs: Long, seed: Long, query: String): Unit = {
-    import spark.implicits._
-    val corpus = CorpusGen.corpus(spark, kind, nDocs, seed)
+  private def engineEqualsNaive(kind: String, nDocs: Long, seed: Long, query: String): Unit =
+    engineEqualsNaive(CorpusGen.corpus(spark, kind, nDocs, seed), query)
+
+  private def engineEqualsNaive(corpus: Dataset[Sent], query: String): Unit = {
     val built = Indexes.build(spark, corpus)
     val sents = corpus.collect().toSeq
     val engine = KokoEngine.run(spark, query, built)
@@ -46,6 +51,65 @@ class KokoEngineSpec extends AnyFunSuite with SparkSpec {
       """extract e:Entity, d:Str from f if (
         | /ROOT:{ a = //verb, b = a/dobj, c = b//"delicious", d = (b.subtree) }
         | (b) in (e) )""".stripMargin)
+  }
+
+  test("engine equals naive: cafe query on a corpus whose documents span input partitions") {
+    val corpus = CorpusGen.corpus(spark, "cafe", 25, 6).repartition(3)
+    val docsPerPartition = corpus.rdd.glom().collect().map(_.map(_.doc).toSet)
+    assert(docsPerPartition.combinations(2).exists(p => p(0).intersect(p(1)).nonEmpty))
+    engineEqualsNaive(corpus, QualityHarness.cafeQuery(0.6, withDescriptors = true))
+  }
+
+  test("path word steps match exactly, span word atoms ignore case; engine equals naive") {
+    import spark.implicits._
+    val corpus = CorpusGen.corpus(spark, "wiki", 60, 4)
+    val built = Indexes.build(spark, corpus)
+    val sents = corpus.collect().toSeq
+    val exactPath = Table2Harness.TitleQ.replace("//\"called\"", "//\"Called\"")
+    val spanWord =
+      """extract a:Person, b:Str from "wiki" if (
+        | /ROOT:{ p = //verb/propn, b = p.subtree, c = a + ^ + "CALLED" + ^ + b } )""".stripMargin
+    val exact = KokoEngine.run(spark, exactPath, built).rows
+    val span = KokoEngine.run(spark, spanWord, built).rows
+    assert(exact.isEmpty && NaiveKoko.runQuery(exactPath, sents).isEmpty)
+    assert(span.nonEmpty)
+    assert(canon(span) == canon(NaiveKoko.runQuery(spanWord, sents)))
+    built.unpersist()
+  }
+
+  /** Spark jobs started and shuffle bytes read or written while `body` runs. */
+  private def sparkWork(body: => Unit): (Int, Long) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val shuffleBytes = new AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = Option(e.taskMetrics).foreach { m =>
+        shuffleBytes.addAndGet(m.shuffleReadMetrics.totalBytesRead + m.shuffleWriteMetrics.bytesWritten)
+      }
+    }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try body
+    finally {
+      TestListenerBus.drain(sc)
+      sc.removeSparkListener(listener)
+    }
+    (jobs.get, shuffleBytes.get)
+  }
+
+  test("a query is one Spark job with no shuffle (Title on wiki, cafe)") {
+    Seq(
+      ("wiki", Table2Harness.TitleQ),
+      ("cafe", QualityHarness.cafeQuery(0.6, withDescriptors = true))).foreach { case (kind, q) =>
+      val built = Indexes.build(spark, CorpusGen.corpus(spark, kind, 40, 14))
+      var rows = 0
+      val (jobs, shuffleBytes) = sparkWork { rows = KokoEngine.run(spark, q, built).rows.size }
+      assert(rows > 0, kind)
+      assert(jobs == 1, s"$kind: $jobs jobs")
+      assert(shuffleBytes == 0, s"$kind: $shuffleBytes shuffle bytes")
+      built.unpersist()
+    }
   }
 
   test("DateOfBirth results bind person and date from planted facts") {

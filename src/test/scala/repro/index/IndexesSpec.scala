@@ -3,7 +3,7 @@ package repro.index
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
-import repro.nlp.CorpusGen
+import repro.nlp.{CorpusGen, Sent}
 
 class IndexesSpec extends AnyFunSuite with SparkSpec {
   import Fixtures._
@@ -127,12 +127,16 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Built.unpersist frees every dataset that build cached") {
-    val before = spark.sparkContext.getPersistentRDDs.size
+    // Spark holds cached RDDs weakly: other tests' unreferenced caches may
+    // vanish meanwhile, so compare ids, not counts.
+    def cached = spark.sparkContext.getPersistentRDDs.keySet
+    val before = cached
     val b = Indexes.build(spark, CorpusGen.corpus(spark, "wiki", 20, seed = 9))
     b.entity.count()
-    assert(spark.sparkContext.getPersistentRDDs.size > before)
+    val added = cached -- before
+    assert(added.nonEmpty)
     b.unpersist()
-    assert(spark.sparkContext.getPersistentRDDs.size == before)
+    assert(cached.intersect(added).isEmpty)
   }
 
   test("every token's plId/posId references an existing dataguide node") {
@@ -140,5 +144,29 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
     val maxPos = built.posNodes.size
     val bad = built.tokens.filter(col("plId") >= maxPl || col("posId") >= maxPos || col("plId") < 0).count()
     assert(bad == 0)
+  }
+
+  test("build rejects a document of more than 64 sentences and duplicate sentence ids, naming the document") {
+    import spark.implicits._
+    val doc5 = CorpusGen.docOf("wiki", 5, 1)
+    val tooMany = (0 to CorpusGen.MaxSentsPerDoc).map(k => doc5.head.copy(sid = CorpusGen.gsid(5, k)))
+    val e1 = intercept[IllegalArgumentException](Indexes.build(spark, spark.createDataset(tooMany)))
+    assert(e1.getMessage.startsWith("document 5:"), e1.getMessage)
+    val e2 = intercept[IllegalArgumentException](Indexes.build(spark, spark.createDataset(doc5 :+ doc5.last)))
+    assert(e2.getMessage == s"document 5: duplicate sentence id ${doc5.last.sid}")
+  }
+
+  test("build validates every tree: a bad head or a cycle fails, naming the sentence") {
+    import spark.implicits._
+    def rejected(s: Sent): String =
+      intercept[IllegalArgumentException](Indexes.build(spark, spark.createDataset(Seq(s)))).getMessage
+    val f = Fixtures.fig1
+    val badHead = f.copy(toks = f.toks.updated(3, f.toks(3).copy(head = f.t)))
+    assert(rejected(badHead).startsWith("sentence 0 (document 0): malformed tree: head out of range"))
+    val a = Fixtures.anna
+    val i = a.toks.indexWhere(t => t.head >= 0 && a.toks(t.head).head >= 0)
+    val h = a.toks(i).head
+    val cycle = a.copy(toks = a.toks.updated(h, a.toks(h).copy(head = i)))
+    assert(rejected(cycle).startsWith("sentence 1 (document 0): malformed tree: unreachable tokens"))
   }
 }
