@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.index.{HierarchyIndex, Indexes, Shard}
+import repro.index.{HierNode, Indexes, Shard}
 
 /** Decompose Paths and Lookup Indices (§4.2.2, Algorithm 1), over one
   * [[Shard]]'s posting lists. A posting list is an ascending array of token
@@ -26,11 +26,22 @@ object Dpli {
       plIds: Option[Array[Int]],
       posIds: Option[Array[Int]])
 
-  def resolve(built: Indexes.Built, dec: PathDecomposer.Decomposed): PathLookup = {
-    def ids(nodes: Seq[repro.index.HierNode], pat: Seq[HierarchyIndex.PatStep]): Option[Array[Int]] =
-      if (HierarchyIndex.isTrivial(pat)) None else Some(HierarchyIndex.matchingIds(nodes, pat).toArray)
-    PathLookup(dec, ids(built.plNodes, dec.pl), ids(built.posNodes, dec.pos))
-  }
+  def resolve(built: Indexes.Built, dec: PathDecomposer.Decomposed): PathLookup =
+    PathLookup(dec, dataguideIds(built.plNodes, dec.pl), dataguideIds(built.posNodes, dec.pos))
+
+  /** Ids of the dataguide nodes whose root path matches a decomposed PL or
+    * POS pattern, matched by [[PathMatcher.matchesChain]] on the path's
+    * labels (`*` matches any label); None for an all-wildcard pattern.
+    */
+  def dataguideIds(nodes: Seq[HierNode], pat: Seq[(Ast.Axis, String)]): Option[Array[Int]] =
+    if (pat.forall(_._2 == "*")) None
+    else {
+      val (axes, labels) = pat.toIndexedSeq.unzip
+      Some(nodes.filter { node =>
+        val path = node.path.split('/').drop(1)
+        PathMatcher.matchesChain(axes, path.length)((i, j) => labels(i) == "*" || labels(i) == path(j))
+      }.map(_.id).toArray)
+    }
 
   /** Ascending intersection of two ascending distinct arrays. */
   private def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {

@@ -1,8 +1,5 @@
 package repro.core
 
-import repro.index.HierarchyIndex
-import repro.index.HierarchyIndex.PatStep
-
 /** Path decomposition (§4.2.1): dominant-path detection and the split of
   * a dominant path into a parse-label path, a POS-tag path, and a word
   * path — each used to access one index (Example 4.2).
@@ -10,25 +7,20 @@ import repro.index.HierarchyIndex.PatStep
 object PathDecomposer {
   import Ast._
 
-  /** The three decomposed patterns of a path with `nSteps` steps. `words`
+  /** The three decomposed patterns of a path with `nSteps` steps. `pl` and
+    * `pos` are `(axis, label)` steps with label `*` where the step does not
+    * pin one; they are matched against the dataguides. `words`
     * holds `(stepIdx, word)` for every step that pins a word; depth gaps
     * between consecutive words follow from the step indices (each step
     * descends at least one level, so the paper's `l₂ ≥ l₁ + 2` for
     * the Example 4.4 word path ate-wildcard-delicious is `gap = 2 - 0`).
     */
   final case class Decomposed(
-      pl: Seq[PatStep],
-      pos: Seq[PatStep],
+      pl: Seq[(Axis, String)],
+      pos: Seq[(Axis, String)],
       words: Seq[(Int, String)],
       nSteps: Int) {
     def lastIsWord: Boolean = words.nonEmpty && words.last._1 == nSteps - 1
-    def plTrivial: Boolean = HierarchyIndex.isTrivial(pl)
-    def posTrivial: Boolean = HierarchyIndex.isTrivial(pos)
-  }
-
-  private def toPat(axis: Axis): HierarchyIndex.Axis = axis match {
-    case Child => HierarchyIndex.Child
-    case Desc => HierarchyIndex.Desc
   }
 
   def stepPl(s: Step): String = s.label match {
@@ -48,8 +40,8 @@ object PathDecomposer {
 
   def decompose(p: PathExpr): Decomposed = {
     require(p.isAbsolute, "decompose requires absolute paths")
-    val pl = p.steps.map(s => PatStep(toPat(s.axis), stepPl(s)))
-    val pos = p.steps.map(s => PatStep(toPat(s.axis), stepPos(s)))
+    val pl = p.steps.map(s => s.axis -> stepPl(s))
+    val pos = p.steps.map(s => s.axis -> stepPos(s))
     val words = p.steps.zipWithIndex.flatMap { case (s, i) => stepWord(s).map(i -> _) }
     Decomposed(pl, pos, words, p.steps.size)
   }

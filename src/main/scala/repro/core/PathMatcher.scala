@@ -29,23 +29,22 @@ object PathMatcher {
     }
   }
 
-  /** Match steps against the root-to-target chain. A child step consumes
-    * the next chain node; a descendant step skips ≥0 nodes first. The
-    * last step must consume the target itself.
+  /** Match path axes against a root-to-target chain of `n` nodes, token or
+    * dataguide label; `ok(i, j)` says whether step `i` holds at node `j`. A
+    * child step consumes the next node; a descendant step skips ≥0 nodes
+    * first. The last step must consume the target itself.
     */
-  def matchesChain(steps: Seq[Step], chain: IndexedSeq[Tok]): Boolean = {
-    val ns = steps.size
-    val nc = chain.size
+  def matchesChain(axes: IndexedSeq[Axis], n: Int)(ok: (Int, Int) => Boolean): Boolean = {
+    val ns = axes.size
     // memo over (step idx, chain idx)
-    val memo = Array.fill(ns + 1, nc + 1)(0: Byte) // 0 unknown, 1 true, 2 false
+    val memo = Array.fill(ns + 1, n + 1)(0: Byte) // 0 unknown, 1 true, 2 false
     def m(i: Int, j: Int): Boolean = {
-      if (i == ns) return j == nc
-      if (j >= nc) return false
+      if (i == ns) return j == n
+      if (j >= n) return false
       if (memo(i)(j) != 0) return memo(i)(j) == 1
-      val r = steps(i).axis match {
-        case Child => stepMatches(steps(i), chain(j)) && m(i + 1, j + 1)
-        case Desc =>
-          (j until nc).exists(k => stepMatches(steps(i), chain(k)) && m(i + 1, k + 1))
+      val r = axes(i) match {
+        case Child => ok(i, j) && m(i + 1, j + 1)
+        case Desc => (j until n).exists(k => ok(i, k) && m(i + 1, k + 1))
       }
       memo(i)(j) = if (r) 1 else 2
       r
@@ -56,8 +55,9 @@ object PathMatcher {
   /** True iff token `tid` of `s` satisfies the absolute path. */
   def matches(path: PathExpr, s: Sent, tid: Int): Boolean = {
     require(path.isAbsolute, "PathMatcher requires absolute paths")
-    val chain = TreeOps.chainTo(s.toks, tid).map(s.toks(_)).toIndexedSeq
-    matchesChain(path.steps, chain)
+    val steps = path.steps.toIndexedSeq
+    val chain = TreeOps.chainTo(s.toks, tid).toIndexedSeq
+    matchesChain(steps.map(_.axis), chain.size)((i, j) => stepMatches(steps(i), s.toks(chain(j))))
   }
 
   /** All tokens of `s` satisfying the absolute path. */

@@ -159,13 +159,12 @@ final class Shard private (
     }
   }
 
-  /** The E table: one row per `(eid, etype)` group of a sentence. */
+  /** The E table: one row per entity mention ([[TreeOps.mentionRanges]]). */
   def entityRows: Iterator[EntityRow] = Iterator.range(0, nSents).flatMap { s =>
-    Iterator.range(off(s), off(s + 1)).filter(eid(_) >= 0)
-      .toSeq.groupBy(o => (eid(o), etype(o))).valuesIterator.map { os =>
-        EntityRow(os.map(o => dict(word(o))).mkString(" "), dict(etype(os.head)), doc(s), sid(s),
-          os.head - off(s), os.last - off(s))
-      }
+    TreeOps.mentionRanges(off(s + 1) - off(s), t => eid(off(s) + t)).map { case (first, last) =>
+      EntityRow((first to last).map(t => dict(word(off(s) + t))).mkString(" "), dict(etype(off(s) + first)),
+        doc(s), sid(s), first, last)
+    }
   }
 }
 
@@ -216,7 +215,6 @@ object Shard {
     val (lowerKeys, lowerSents) = (Array.newBuilder[Int], Array.newBuilder[Int])
     sents.indices.foreach { s =>
       val (sent, m) = sents(s)
-      val mentions = mutable.HashSet[(Int, String)]()
       sent.toks.foreach { t =>
         val o = off(s) + t.tid
         word(o) = id(t.word); lower(o) = id(t.word.toLowerCase)
@@ -224,8 +222,8 @@ object Shard {
         head(o) = t.head; eid(o) = t.eid
         lo(o) = m.lo(t.tid); hi(o) = m.hi(t.tid); depth(o) = m.depth(t.tid)
         plId(o) = plIds(m.plPath(t.tid)); posId(o) = posIds(m.posPath(t.tid))
-        if (t.eid >= 0 && mentions.add((t.eid, t.etype))) mentionStarts += o
       }
+      TreeOps.mentionRanges(sent.t, t => eid(off(s) + t)).foreach { case (first, _) => mentionStarts += off(s) + first }
       lower.slice(off(s), off(s + 1)).distinct.foreach { k => lowerKeys += k; lowerSents += s }
     }
     val ords = Array.range(0, n)

@@ -53,11 +53,18 @@ object Embeddings {
     if (x == y) 1.0 else table.getOrElse((x, y), 0.0)
   }
 
-  /** Words similar to `w` (score ≥ minSim), including `w` itself. */
-  def neighbors(w: String, minSim: Double = 0.5): Seq[(String, Double)] = {
+  /** The least similarity of a paraphrase neighbour, and the variants kept
+    * per expanded phrase ("descriptors now default to a fixed number of
+    * expanded terms", §5).
+    */
+  private val MinSim = 0.5
+  val TopK = 40
+
+  /** Words similar to `w` (score ≥ [[MinSim]]), including `w` itself. */
+  def neighbors(w: String): Seq[(String, Double)] = {
     val lw = w.toLowerCase
     val others = table.collect {
-      case ((a, b), s) if a == lw && s >= minSim => (b, s)
+      case ((a, b), s) if a == lw && s >= MinSim => (b, s)
     }.toSeq
     ((lw, 1.0) +: others).distinct.sortBy(-_._2)
   }
@@ -65,17 +72,16 @@ object Embeddings {
   /** Expand a descriptor phrase into alternate forms with scores, as the
     * paper does before matching: each word may be replaced by a paraphrase
     * neighbour, with the variant score kᵢ equal to the product of per-word
-    * scores. Capped to the `topK` highest-scoring variants ("descriptors
-    * now default to a fixed number of expanded terms", §5).
+    * scores. Capped to the [[TopK]] highest-scoring variants.
     */
-  def expand(phrase: Seq[String], topK: Int = 40, minSim: Double = 0.5): Seq[(Seq[String], Double)] = {
+  def expand(phrase: Seq[String]): Seq[(Seq[String], Double)] = {
     val variants = phrase.foldLeft(Seq(Vector.empty[String] -> 1.0)) { (acc, w) =>
-      for ((pre, s) <- acc; (alt, as) <- neighbors(w, minSim)) yield (pre :+ alt, s * as)
+      for ((pre, s) <- acc; (alt, as) <- neighbors(w)) yield (pre :+ alt, s * as)
     }
     variants
       .distinctBy(_._1)
       .sortBy { case (v, s) => (-s, v.mkString(" ")) }
-      .take(topK)
+      .take(TopK)
       .map { case (v, s) => (v: Seq[String], s) }
   }
 }

@@ -58,7 +58,8 @@ object TreeOps {
   }
 
   /** Structural validation: tids are 0..n-1 in order, exactly one root,
-    * heads in range, and every token reachable from the root (no cycles).
+    * heads in range, every token reachable from the root (no cycles), and
+    * every entity mention one contiguous run of tokens with one `etype`.
     */
   def validate(toks: Seq[Tok]): Either[String, Unit] = {
     val n = toks.size
@@ -77,6 +78,12 @@ object TreeOps {
       if (!visited(i)) { visited(i) = true; seen += 1; ch(i).foreach(rec) }
     rec(rootOf(toks))
     if (seen != n) return Left(s"unreachable tokens: visited $seen of $n")
+    mentionRanges(n, toks(_).eid).groupBy(r => toks(r._1).eid).foreach {
+      case (e, Seq((lo, hi))) =>
+        val types = (lo to hi).map(toks(_).etype).distinct
+        if (types.size > 1) return Left(s"entity $e at $lo..$hi has etypes ${types.mkString(", ")}")
+      case (e, runs) => return Left(s"entity $e is split into runs ${runs.map { case (lo, hi) => s"$lo..$hi" }.mkString(", ")}")
+    }
     Right(())
   }
 
@@ -98,17 +105,18 @@ object TreeOps {
     acc
   }
 
-  /** Entity mentions of a sentence: runs of tokens sharing an `eid`. */
+  /** KOKO's one entity-mention rule: the maximal runs of tokens `0 until n`
+    * that share one `eid ≥ 0`, as `(lo, hi)` in token order. [[validate]]
+    * rejects an `eid` that is not one such run, so each run is a whole
+    * mention with one `etype`.
+    */
+  def mentionRanges(n: Int, eid: Int => Int): Seq[(Int, Int)] =
+    (0 until n).filter(i => eid(i) >= 0 && (i == 0 || eid(i - 1) != eid(i)))
+      .map(lo => lo -> (lo until n).takeWhile(eid(_) == eid(lo)).last)
+
+  /** Entity mentions of a sentence (see [[mentionRanges]]). */
   def entityMentions(s: Sent): Seq[EntityMention] =
-    s.toks
-      .filter(_.eid >= 0)
-      .groupBy(_.eid)
-      .toSeq
-      .sortBy(_._1)
-      .map { case (_, ts) =>
-        val lo = ts.map(_.tid).min
-        val hi = ts.map(_.tid).max
-        EntityMention(s.doc, s.sid, lo, hi, ts.head.etype,
-          ts.sortBy(_.tid).map(_.word).mkString(" "))
-      }
+    mentionRanges(s.t, s.toks(_).eid).map { case (lo, hi) =>
+      EntityMention(s.doc, s.sid, lo, hi, s.toks(lo).etype, (lo to hi).map(s.toks(_).word).mkString(" "))
+    }
 }

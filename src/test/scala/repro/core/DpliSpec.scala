@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
+import repro.bench.SyntheticQueries
 import repro.index.{Indexes, Shard}
 import repro.nlp.CorpusGen
 
@@ -93,6 +94,32 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
   test("nonexistent path yields an empty posting list (§4.2.2 Discussion)") {
     val res = Dpli.lookup(built, PathDecomposer.decompose(path("//xcomp")))
     assert(res.count() == 0)
+  }
+
+  test("resolve gives an all-wildcard side no dataguide ids: None, no pruning power") {
+    val plOnly = repro.core.Dpli.resolve(built, PathDecomposer.decompose(path("/root/dobj/det")))
+    assert(plOnly.plIds.exists(_.nonEmpty) && plOnly.posIds.isEmpty)
+    val none = repro.core.Dpli.resolve(built, PathDecomposer.decompose(path("//*/*")))
+    assert(none.plIds.isEmpty && none.posIds.isEmpty)
+  }
+
+  test("DPLI is complete on generated queries: candidateSids ⊇ NaiveKoko.matchingSids") {
+    Seq("happy" -> 400L, "wiki" -> 80L).foreach { case (kind, nDocs) =>
+      val corpus = CorpusGen.corpus(spark, kind, nDocs, seed = 23)
+      val sents = corpus.collect().toSeq
+      val b = Indexes.build(spark, corpus)
+      val queries = SyntheticQueries.treeQueries(sents, 1, 23)
+      assert(queries.nonEmpty)
+      queries.foreach { tq =>
+        val nq = Normalizer.normalize(tq.query)
+        val truth = NaiveKoko.matchingSids(nq, sents)
+        KokoEngine.candidateSids(b, nq).foreach { df =>
+          val cands = df.collect().map(_.getLong(0)).toSet
+          assert(truth.subsetOf(cands), s"$kind ${tq.name} (${tq.setting}): dropped ${truth.diff(cands).take(5)}")
+        }
+      }
+      b.unpersist()
+    }
   }
 
   test("DPLI is complete: bindings contain every true match (random corpus)") {

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.HierarchyIndex.{Child => HChild, Desc => HDesc, PatStep}
 
 class PathDecomposerSpec extends AnyFunSuite {
   import Ast._
@@ -13,22 +12,23 @@ class PathDecomposerSpec extends AnyFunSuite {
 
   test("Example 4.2: decomposition of //verb[text=\"ate\"]/dobj//\"delicious\"") {
     val d = PathDecomposer.decompose(path("""//verb[text="ate"]/dobj//"delicious""""))
-    assert(d.pl == Seq(PatStep(HDesc, "*"), PatStep(HChild, "dobj"), PatStep(HDesc, "*")))
-    assert(d.pos == Seq(PatStep(HDesc, "verb"), PatStep(HChild, "*"), PatStep(HDesc, "*")))
+    assert(d.pl == Seq(Desc -> "*", Child -> "dobj", Desc -> "*"))
+    assert(d.pos == Seq(Desc -> "verb", Child -> "*", Desc -> "*"))
     assert(d.words == Seq(0 -> "ate", 2 -> "delicious"))
     assert(d.lastIsWord)
   }
 
   test("conditions contribute to the decomposed paths") {
     val d = PathDecomposer.decompose(path("""//*[@pos="noun", text="pie"]"""))
-    assert(d.pos == Seq(PatStep(HDesc, "noun")))
-    assert(d.pl == Seq(PatStep(HDesc, "*")))
+    assert(d.pos == Seq(Desc -> "noun"))
+    assert(d.pl == Seq(Desc -> "*"))
     assert(d.words == Seq(0 -> "pie"))
   }
 
   test("pure parse-label path: POS path is trivial") {
     val d = PathDecomposer.decompose(path("/root/dobj/det"))
-    assert(!d.plTrivial && d.posTrivial && d.words.isEmpty)
+    assert(d.pl == Seq(Child -> "root", Child -> "dobj", Child -> "det"))
+    assert(d.pos.forall(_._2 == "*") && d.words.isEmpty)
     assert(!d.lastIsWord)
   }
 

@@ -169,4 +169,17 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
     val cycle = a.copy(toks = a.toks.updated(h, a.toks(h).copy(head = i)))
     assert(rejected(cycle).startsWith("sentence 1 (document 0): malformed tree: unreachable tokens"))
   }
+
+  test("build rejects an entity whose tokens are not one run, naming the sentence") {
+    import spark.implicits._
+    // anna's "grocery store" (tokens 10..11) with "store" untagged and "." tagged as "grocery"
+    val a = Fixtures.anna
+    val grocery = a.toks(10)
+    val split = a.copy(toks = a.toks
+      .updated(11, a.toks(11).copy(eid = -1, etype = ""))
+      .updated(12, a.toks(12).copy(eid = grocery.eid, etype = grocery.etype)))
+    val e = intercept[IllegalArgumentException](
+      Indexes.build(spark, spark.createDataset(Seq(Fixtures.fig1, split))))
+    assert(e.getMessage.startsWith("sentence 1 (document 0): malformed tree:"), e.getMessage)
+  }
 }

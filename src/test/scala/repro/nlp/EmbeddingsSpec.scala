@@ -53,8 +53,9 @@ class EmbeddingsSpec extends AnyFunSuite {
   }
 
   test("expand is capped at topK and sorted by score descending") {
-    val e = Embeddings.expand(Seq("serves", "coffee"), topK = 5)
-    assert(e.size == 5)
+    // 5 × 6 × 3 = 90 variants before the cap
+    val e = Embeddings.expand(Seq("serves", "coffee", "menu"))
+    assert(e.size == Embeddings.TopK)
     assert(e.map(_._2) == e.map(_._2).sorted.reverse)
   }
 

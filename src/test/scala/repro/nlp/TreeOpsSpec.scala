@@ -118,6 +118,18 @@ class TreeOpsSpec extends AnyFunSuite {
     assert(ms.exists(m => m.text == "grocery store" && m.lo == 10 && m.hi == 11))
   }
 
+  test("validate rejects an entity mention with mixed etypes or split into runs") {
+    val t0 = Tok(0, "Blue", "propn", "root", -1, "Org", 0)
+    val t1 = Tok(1, "Bottle", "propn", "dobj", 0, "Org", 0)
+    assert(TreeOps.validate(Seq(t0, t1)).isRight)
+    assert(TreeOps.mentionRanges(2, Seq(t0, t1)(_).eid) == Seq(0 -> 1))
+    val mixed = TreeOps.validate(Seq(t0, t1.copy(etype = "Person")))
+    assert(mixed == Left("entity 0 at 0..1 has etypes Org, Person"))
+    val t2 = Tok(2, ".", "punct", "punct", 0, "", -1)
+    val split = TreeOps.validate(Seq(t0, t2.copy(tid = 1), t1.copy(tid = 2)))
+    assert(split == Left("entity 0 is split into runs 0..0, 2..2"))
+  }
+
   test("meta is consistent on random corpus docs") {
     (0L until 120L).foreach { d =>
       val sents = CorpusGen.docOf(Seq("happy", "wiki", "cafe")((d % 3).toInt), d, 11)
