@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.baseline.{AdvInvertedIndex, InvertedIndex, SubtreeIndex}
 import repro.core.{KokoEngine, NaiveKoko, Normalizer}
 import repro.index.Indexes
-import repro.nlp.{CorpusGen, Sent, TreeOps}
+import repro.nlp.{CorpusGen, Sent}
 
 /** Index-scheme comparison (the paper's Figures 6–8, reported here as
   * tables because they carry the headline claims: KOKO's indices take the
@@ -36,22 +36,6 @@ object IndexCompareHarness {
   private def writeStore(df: DataFrame, dir: String): Unit =
     df.write.mode("overwrite").option("compression", "none").csv(dir)
 
-  /** Flatten with only (word,pos,label,sid,tid) — what INVERTED needs. */
-  private def simpleTokens(spark: SparkSession, sents: org.apache.spark.sql.Dataset[Sent]): DataFrame = {
-    import spark.implicits._
-    sents.flatMap(s => s.toks.map(t => (t.word, t.pos, t.label, s.sid, t.tid)))
-      .toDF("word", "pos", "label", "sid", "tid")
-  }
-
-  /** Flatten with interval/depth/parent — what ADVINVERTED needs. */
-  private def advTokens(spark: SparkSession, sents: org.apache.spark.sql.Dataset[Sent]): DataFrame = {
-    import spark.implicits._
-    sents.flatMap { s =>
-      val m = TreeOps.meta(s.toks)
-      s.toks.map(t => (t.word, t.pos, t.label, s.sid, t.tid, m.lo(t.tid), m.hi(t.tid), m.depth(t.tid), t.head))
-    }.toDF("word", "pos", "label", "sid", "tid", "lo", "hi", "depth", "head")
-  }
-
   final case class BuiltAll(
       koko: Indexes.Built,
       inverted: DataFrame,
@@ -80,22 +64,20 @@ object IndexCompareHarness {
     }
     val kokoRows = koko.word.count() + koko.entity.count() +
       Indexes.closureDf(spark, koko.plNodes).count() + Indexes.closureDf(spark, koko.posNodes).count()
-    // KOKO's build released the cached corpus; the baselines read it cached.
-    sents.cache().count()
-
+    // The baselines read KOKO's views: its build released the cached corpus.
     val (inv, tI) = timed {
-      val df = InvertedIndex.build(simpleTokens(spark, sents)).cache()
+      val df = InvertedIndex.build(koko.tokens).cache()
       writeStore(df, s"$tmpDir/inverted")
       df
     }
     val (adv, tA) = timed {
-      val df = AdvInvertedIndex.build(advTokens(spark, sents)).cache()
+      val df = AdvInvertedIndex.build(koko.tokens).cache()
       writeStore(df, s"$tmpDir/adv")
       df
     }
     val (sub, tS) = timed {
-      val pl = SubtreeIndex.build(spark, sents, "pl").cache()
-      val pos = SubtreeIndex.build(spark, sents, "pos").cache()
+      val pl = SubtreeIndex.build(spark, koko.sentences, "pl").cache()
+      val pos = SubtreeIndex.build(spark, koko.sentences, "pos").cache()
       writeStore(pl, s"$tmpDir/subtree/pl")
       writeStore(pos, s"$tmpDir/subtree/pos")
       (pl, pos)

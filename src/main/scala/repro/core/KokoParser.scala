@@ -44,7 +44,8 @@ object KokoParser {
         // trailing '.' belongs to punctuation, not the number
         var end = j
         if (src.charAt(end - 1) == '.') end -= 1
-        out += TNum(src.substring(i, end).toDouble)
+        val lit = src.substring(i, end)
+        out += TNum(lit.toDoubleOption.getOrElse(throw ParseError(s"malformed number '$lit' at $i")))
         i = end
       } else {
         val two = if (i + 1 < n) src.substring(i, i + 2) else ""
@@ -92,9 +93,18 @@ object KokoParser {
       case TStr(s) => s
       case t => throw ParseError(s"expected string, got $t")
     }
+
+    /** A regex literal, compiled here so that a bad one fails the parse. */
+    private def regex(re: String): String =
+      try { java.util.regex.Pattern.compile(re); re }
+      catch {
+        case e: java.util.regex.PatternSyntaxException =>
+          throw ParseError(s"bad regex \"$re\": ${e.getDescription}")
+      }
+
     private def num(): Double = next() match {
       case TNum(d) => d
-      case TStr(s) => s.toDouble
+      case TStr(s) => s.toDoubleOption.getOrElse(throw ParseError(s"expected number, got \"$s\""))
       case t => throw ParseError(s"expected number, got $t")
     }
 
@@ -255,6 +265,12 @@ object KokoParser {
           case TNum(d) => if (d == d.toLong) d.toLong.toString else d.toString
           case t => throw ParseError(s"expected condition value, got $t")
         }
+        attr match {
+          case "regex" => regex(v)
+          case "min" | "max" if !v.toIntOption.exists(_ >= 0) =>
+            throw ParseError(s"$attr must be a non-negative integer, got \"$v\"")
+          case _ => ()
+        }
         out += StepCond(attr, v)
         more = acceptSym(",")
       }
@@ -297,7 +313,7 @@ object KokoParser {
         peek match {
           case Some(t) if isKw(t, "contains") => pos += 1; val s = str(); CContains(v, s, substring = false, parseWeight())
           case Some(t) if isKw(t, "mentions") => pos += 1; val s = str(); CContains(v, s, substring = true, parseWeight())
-          case Some(t) if isKw(t, "matches") => pos += 1; val s = str(); CMatches(v, s, parseWeight())
+          case Some(t) if isKw(t, "matches") => pos += 1; val s = str(); CMatches(v, regex(s), parseWeight())
           case Some(TSym("~")) => pos += 1; val s = str(); CSimilar(v, s, parseWeight())
           case Some(t) if isKw(t, "in") =>
             pos += 1; expectKw("dict"); expectSym("(")

@@ -19,8 +19,7 @@ object Normalizer {
       freeEnts: Seq[OutVar],
       constraints: Seq[Constraint],
       satisfying: Seq[Satisfying],
-      excluding: Seq[SatCond],
-      varOrder: Seq[String]) {
+      excluding: Seq[SatCond]) {
 
     /** Variables whose values feed outputs or satisfying/excluding. */
     def neededVars: Seq[String] =
@@ -63,13 +62,7 @@ object Normalizer {
     freeEnts.find(_.typ == "Str").foreach { o =>
       throw KokoParser.ParseError(s"output ${o.name}:Str is not defined in the extract block")
     }
-
-    // Node variables bind first, then free entity variables, then span
-    // definitions (whose atoms may reference any of the former).
-    val nodeNames = q.defs.collect { case d: NodeDef => d.name }
-    val spanNames = q.defs.collect { case d: SpanDef => d.name }
-    val order = nodeNames ++ freeEnts.map(_.name) ++ spanNames
     NormQuery(q.outputs, q.input, nodeDefs.result(), spanDefs.result(), freeEnts,
-      q.constraints ++ derived.result(), q.satisfying, q.excluding, order)
+      q.constraints ++ derived.result(), q.satisfying, q.excluding)
   }
 }

@@ -61,14 +61,7 @@ object SentenceEvaluator {
     val mentions = TreeOps.entityMentions(s)
     val results = Seq.newBuilder[Map[String, Binding]]
 
-    val defsByName: Map[String, VarDef] =
-      (nq.nodeDefs ++ nq.spanDefs).map(d => (d.name, d: VarDef)).toMap
-
     // ---- cached atom candidates (bound-independent atoms only)
-    val pathCands = scala.collection.mutable.Map[PathExpr, Seq[Int]]()
-    def candsOfPath(p: PathExpr): Seq[Int] =
-      pathCands.getOrElseUpdate(p, PathMatcher.candidates(p, s))
-
     lazy val allSpans: Seq[Binding] = {
       val b = Vector.newBuilder[Binding]
       (0 to t).foreach(lo => b += Binding(lo, lo - 1, -1)) // empty spans
@@ -97,20 +90,11 @@ object SentenceEvaluator {
         bound.get(n).toSeq.filter(_.tid >= 0).map(b => Binding(meta.lo(b.tid), meta.hi(b.tid), -1))
       case other =>
         atomCache.getOrElseUpdate(other, other match {
-          case APath(p) => candsOfPath(p).map(i => Binding(i, i, i))
+          case APath(p) => PathMatcher.candidates(p, s).map(i => Binding(i, i, i))
           case AWords(ws) => Aggregator.occurrences(ws, s).map(i => Binding(i, i + ws.size - 1, -1))
           case AElastic(_, conds) => allSpans.filter(b => elasticAccepts(conds, b))
           case _ => Seq.empty
         })
-    }
-
-    def atomAccepts(a: Atom, b: Binding, bound: Map[String, Binding]): Boolean = a match {
-      case APath(p) => b.lo == b.hi && candsOfPath(p).contains(b.lo)
-      case AVar(n) => bound.get(n).exists(v => v.lo == b.lo && v.hi == b.hi)
-      case ASubtree(n) =>
-        bound.get(n).exists(v => v.tid >= 0 && meta.lo(v.tid) == b.lo && meta.hi(v.tid) == b.hi)
-      case AWords(ws) => b.len == ws.size && Aggregator.occurrences(ws, s).contains(b.lo)
-      case AElastic(_, conds) => elasticAccepts(conds, b)
     }
 
     def contiguous(cur: Array[Binding]): Boolean =
@@ -127,62 +111,43 @@ object SentenceEvaluator {
         val t0 = System.nanoTime()
         val skip = SkipPlan.plan(atoms, t, a => atomCands(a, bound).size)
         gspNs(System.nanoTime() - t0)
-        val unskipped = atoms.indices.filterNot(skip.contains)
 
-        def deriveSkipped(): Seq[Array[Binding]] = {
-          // Interior skipped atoms have a single aligned span; boundary
-          // skipped atoms keep one free end and contribute a choice list.
-          var opts: Seq[Array[Binding]] = Seq(cur.clone())
-          skip.toSeq.sorted.foreach { k =>
-            opts = opts.flatMap { arr =>
-              val choices: Seq[Binding] =
-                if (k > 0 && k < m - 1) {
-                  val lo = arr(k - 1).hi + 1
-                  val hi = arr(k + 1).lo - 1
-                  if (hi < lo - 1) Seq.empty
-                  else {
-                    val tid = if (lo == hi) lo else -1
-                    Seq(Binding(lo, hi, if (atoms(k).isInstanceOf[APath]) tid else -1))
-                  }
-                } else if (k == 0) {
-                  val end = arr(1).lo - 1
-                  atoms(k) match {
-                    case AElastic(_, _) => (0 to end + 1).map(st => Binding(st, end, -1))
-                    case a => atomCands(a, bound).filter(_.hi == end)
-                  }
-                } else { // k == m - 1
-                  val st = arr(m - 2).hi + 1
-                  atoms(k) match {
-                    case AElastic(_, _) => ((st - 1) until t).map(hi => Binding(st, hi, -1))
-                    case a => atomCands(a, bound).filter(_.lo == st)
-                  }
-                }
-              choices.filter(b => atomAccepts(atoms(k), b, bound)).map { b =>
-                val a2 = arr.clone(); a2(k) = b; a2
+        /** A skipped atom's bindings, aligned from its neighbours (which
+          * the plan never skips): an end touching a neighbour is pinned to
+          * it, and a free end — only at the span's first or last atom —
+          * ranges over the sentence.
+          */
+        def aligned(k: Int): Seq[Binding] = {
+          val los = if (k > 0) Seq(cur(k - 1).hi + 1) else 0 to cur(k + 1).lo
+          val his = if (k < m - 1) Seq(cur(k + 1).lo - 1) else cur(k - 1).hi until t
+          atoms(k) match {
+            case AElastic(_, conds) =>
+              los.flatMap(lo => his.map(Binding(lo, _, -1)))
+                .filter(b => b.hi >= b.lo - 1 && elasticAccepts(conds, b))
+            case a => atomCands(a, bound).filter(b => los.contains(b.lo) && his.contains(b.hi))
+          }
+        }
+
+        // Given the unskipped atoms, each skipped atom's choices are
+        // independent: take their cartesian product.
+        val skipped = skip.toIndexedSeq.sorted
+        def fill(i: Int): Unit =
+          if (i == skipped.size) assignments += cur.clone()
+          else aligned(skipped(i)).foreach { b => cur(skipped(i)) = b; fill(i + 1) }
+
+        val unskipped = atoms.indices.filterNot(skip)
+        def rec(j: Int, prevHi: Int): Unit =
+          if (j == unskipped.size) fill(0)
+          else {
+            val k = unskipped(j)
+            val afterSkip = skip(k - 1)
+            atomCands(atoms(k), bound).foreach { b =>
+              if (k == 0 || (if (afterSkip) b.lo > prevHi else b.lo == prevHi + 1)) {
+                cur(k) = b; rec(j + 1, b.hi)
               }
             }
           }
-          opts.filter(contiguous)
-        }
-
-        def rec(j: Int, prevHi: Int): Unit = {
-          if (j == unskipped.size) { deriveSkipped().foreach(assignments += _) }
-          else {
-            val idx = unskipped(j)
-            val hasSkippedBetween =
-              if (j == 0) idx > 0 else unskipped(j - 1) != idx - 1
-            atomCands(atoms(idx), bound).foreach { b =>
-              val ok =
-                if (j == 0 && idx == 0) true
-                else if (j == 0) b.lo >= 0 // leading skipped atoms
-                else if (hasSkippedBetween) b.lo >= prevHi + 1
-                else b.lo == prevHi + 1
-              if (ok) { cur(idx) = b; rec(j + 1, b.hi) }
-            }
-          }
-        }
-        if (unskipped.isEmpty) () // cannot happen: plan never skips everything
-        else rec(0, -1)
+        rec(0, -1)
       } else {
         // noGSP: nested loops over every atom in definition order, with
         // consistency (contiguity) checked only on complete assignments.
@@ -221,26 +186,20 @@ object SentenceEvaluator {
           yield x.tid >= 0 && y.tid >= 0 && TreeOps.isAncestorOf(s.toks, x.tid, y.tid)).getOrElse(true)
     }
 
-    val varSeq: Seq[Either[VarDef, OutVar]] = nq.varOrder.map { n =>
-      defsByName.get(n) match {
-        case Some(d) => Left(d)
-        case None => Right(nq.freeEnts.find(_.name == n).get)
-      }
-    }
+    // Node variables bind first, then free entity variables, then span
+    // definitions (whose atoms may reference any of the former).
+    type Bound = Map[String, Binding]
+    val binders: Seq[Bound => Seq[Bound]] =
+      nq.nodeDefs.map(nd => (bound: Bound) =>
+        atomCands(APath(nd.path), bound).map(b => bound + (nd.name -> b))) ++
+      nq.freeEnts.map(ov => (bound: Bound) =>
+        mentions.filter(mn => ov.typ == "Entity" || mn.etype == ov.typ)
+          .map(mn => bound + (ov.name -> Binding(mn.lo, mn.hi, -1)))) ++
+      nq.spanDefs.map(sd => (bound: Bound) => matchSpan(sd, bound).map(bound ++ _))
 
-    def assign(i: Int, bound: Map[String, Binding]): Unit = {
-      if (i == varSeq.size) { if (checkConstraints(bound)) results += bound }
-      else varSeq(i) match {
-        case Left(nd: NodeDef) =>
-          candsOfPath(nd.path).foreach(tid => assign(i + 1, bound + (nd.name -> Binding(tid, tid, tid))))
-        case Left(sd: SpanDef) =>
-          matchSpan(sd, bound).foreach(ext => assign(i + 1, bound ++ ext))
-        case Right(ov) =>
-          mentions
-            .filter(mn => ov.typ == "Entity" || mn.etype == ov.typ)
-            .foreach(mn => assign(i + 1, bound + (ov.name -> Binding(mn.lo, mn.hi, -1))))
-      }
-    }
+    def assign(i: Int, bound: Bound): Unit =
+      if (i == binders.size) { if (checkConstraints(bound)) results += bound }
+      else binders(i)(bound).foreach(assign(i + 1, _))
     assign(0, Map.empty)
     results.result()
   }

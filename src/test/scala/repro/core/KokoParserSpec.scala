@@ -1,6 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.{Failure, Success, Try}
 
 class KokoParserSpec extends AnyFunSuite {
   import Ast._
@@ -161,5 +164,87 @@ class KokoParserSpec extends AnyFunSuite {
     assert(KokoParser.textTokens(", a cafe") == Seq(",", "a", "cafe"))
     assert(KokoParser.textTokens("serves coffee") == Seq("serves", "coffee"))
     assert(KokoParser.textTokens("St. Paul") == Seq("St", ".", "Paul"))
+  }
+
+  private def rejects(src: String, bad: String): Unit = {
+    val e = intercept[KokoParser.ParseError](KokoParser.parse(src))
+    assert(e.getMessage.contains(bad), e.getMessage)
+  }
+
+  private def thresholdQ(th: String, weight: String = "1") =
+    s"""extract x:Entity from f if () satisfying x (str(x) contains "A" {$weight}) with threshold $th"""
+
+  test("a malformed number token is a ParseError naming it") {
+    rejects(thresholdQ("1.2.3"), "1.2.3")
+  }
+
+  test("a threshold string that is not a number is a ParseError naming it") {
+    rejects(thresholdQ("\"abc\""), "abc")
+  }
+
+  test("a weight string that is not a number is a ParseError naming it") {
+    rejects(thresholdQ("0.5", weight = "\"w\""), "\"w\"")
+  }
+
+  test("an elastic min that is not a non-negative integer is a ParseError naming it") {
+    rejects("""extract s:Str from f if ( /ROOT:{ v = //verb, s = v + ^[min="a"] } )""", "\"a\"")
+  }
+
+  test("an elastic regex that does not compile is a ParseError naming it") {
+    rejects("""extract s:Str from f if ( /ROOT:{ v = //verb, s = v + ^[regex="["] } )""", "\"[\"")
+  }
+
+  test("a step regex that does not compile is a ParseError naming it") {
+    rejects("""extract x:Str from f if ( /ROOT:{ x = //verb[regex="("] } )""", "\"(\"")
+  }
+
+  test("a matches regex that does not compile is a ParseError naming it") {
+    rejects("""extract x:Entity from f if () satisfying x (str(x) matches "[")""", "\"[\"")
+  }
+
+  /** Keywords, names, labels, symbols, quoted strings and numbers of the
+    * grammar, well-formed or not.
+    */
+  private val grammarTokens: IndexedSeq[String] = IndexedSeq(
+    "extract", "from", "if", "satisfying", "excluding", "with", "threshold", "or", "str",
+    "contains", "mentions", "matches", "near", "similarTo", "in", "dict", "eq", "ROOT", "subtree",
+    "x", "v", "b", "Entity", "Person", "Str", "verb", "dobj", "propn", "det", "happy",
+    "etype", "regex", "min", "max", "pos", "text", "label",
+    "(", ")", "{", "}", "[", "]", "[[", "]]", "/", "//", ":", ",", "=", "+", "^", ".", "@", "*", "~", "\"",
+    "\"a\"", "\"Cafe\"", "\"serves coffee\"", "\"[\"", "\"(\"", "\"abc\"", "\"1\"", "\"-1\"",
+    "\"0.5\"", "\"\"", "\"Entity\"", "\"[A-Z].*\"",
+    "0", "1", "0.5", "1.2.3", "2.", "99999999999")
+
+  private val validQueries: IndexedSeq[String] = IndexedSeq(
+    """extract e:Entity, d:Str from "input.txt" if (
+      | /ROOT:{ a = //verb, b = a/dobj, c = b//"delicious", d = (b.subtree) }
+      | (b) in (e) )""".stripMargin,
+    """extract s:Str from f if (
+      | /ROOT:{ v = //verb[regex="[a-z]+"], s = ^[etype="Entity", min="1", max="3"] + v + ^[regex="[A-Z].*"] } )
+      |satisfying s (s near "cake" {0.5}) with threshold "0.3"""".stripMargin,
+    repro.bench.Table2Harness.ChocolateQ,
+    repro.bench.Table2Harness.TitleQ,
+    repro.bench.QualityHarness.cafeQuery(0.6, withDescriptors = true))
+
+  private val lexeme = """"[^"]*"|//|\[\[|\]\]|[A-Za-z_][A-Za-z0-9_]*|[0-9.]+|\S""".r
+
+  test("any string of grammar tokens either parses and normalizes or throws ParseError (scalacheck)") {
+    validQueries.foreach(q => Normalizer.normalize(KokoParser.parse(q))) // the edits start from valid queries
+    val tokenSoup = Gen.choose(1, 30).flatMap(n => Gen.listOfN(n, Gen.oneOf(grammarTokens)))
+    val oneEdit = for {
+      q <- Gen.oneOf(validQueries)
+      toks = lexeme.findAllIn(q).toIndexedSeq
+      i <- Gen.choose(0, toks.size - 1)
+      tok <- Gen.oneOf(grammarTokens)
+      edited <- Gen.oneOf(toks.patch(i, Nil, 1), toks.patch(i, Seq(tok), 1), toks.patch(i, Seq(tok), 0))
+    } yield edited
+    val prop = Prop.forAllNoShrink(Gen.oneOf(tokenSoup, oneEdit).map(_.mkString(" "))) { src =>
+      Try(Normalizer.normalize(KokoParser.parse(src))) match {
+        case Success(_) | Failure(_: KokoParser.ParseError) => true
+        case Failure(_) => false
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10000).withInitialSeed(17L), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 }

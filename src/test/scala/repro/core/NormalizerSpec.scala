@@ -48,11 +48,12 @@ class NormalizerSpec extends AnyFunSuite {
       norm("""extract d:Str from f if ( /ROOT:{ v = //verb } )"""))
   }
 
-  test("varOrder: node defs, then free entities, then span defs") {
+  test("binding order: node defs, then free entities, then span defs") {
     val nq = norm(
       """extract a:Person, b:Str from f if (
         | /ROOT:{ v = //"called", p = v/propn, b = p.subtree, c = a + ^ + v + ^ + b } )""".stripMargin)
-    assert(nq.varOrder == Seq("v", "p", "a", "b", "c"))
+    assert((nq.nodeDefs.map(_.name) ++ nq.freeEnts.map(_.name) ++ nq.spanDefs.map(_.name)) ==
+      Seq("v", "p", "a", "b", "c"))
   }
 
   test("anchoring at an undefined variable is rejected") {

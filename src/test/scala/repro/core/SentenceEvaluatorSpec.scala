@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.bench.SyntheticQueries
@@ -153,6 +156,40 @@ class SentenceEvaluatorSpec extends AnyFunSuite {
         assert(a == b, s"mismatch for ${sq.name} on '${s.text}'")
       }
     }
+  }
+
+  test("GSP and noGSP bind the same spans with skipped atoms first, inside and last (scalacheck)") {
+    // A node variable v and a span of 2-4 atoms over one generated sentence;
+    // the skip plan may skip the span's first or last atom, not only an
+    // interior elastic between two anchors.
+    def atom(s: Sent): Gen[String] = {
+      val tok = Gen.oneOf(s.toks)
+      Gen.oneOf(
+        Gen.const("^"),
+        Gen.oneOf(Gen.const("""^[etype="Entity"]"""),
+          for (lo <- Gen.choose(0, 3); w <- Gen.choose(0, 3)) yield s"""^[min="$lo", max="${lo + w}"]"""),
+        tok.map(t => "\"" + t.word + "\""),
+        tok.flatMap(t => Gen.oneOf(t.pos, t.label)).map("//" + _),
+        Gen.const("v"),
+        Gen.const("v.subtree"))
+    }
+    val cases = for {
+      kind <- Gen.oneOf("happy", "wiki", "cafe")
+      seed <- Gen.choose(0L, 1000L)
+      doc <- Gen.choose(0L, 200L)
+      s <- Gen.oneOf(CorpusGen.docOf(kind, doc, seed))
+      vPos <- Gen.oneOf(s.toks).map(_.pos)
+      n <- Gen.choose(2, 4)
+      atoms <- Gen.listOfN(n, atom(s))
+    } yield (s"""extract s:Str from f if ( /ROOT:{ v = //$vPos, s = ${atoms.mkString(" + ")} } )""", s)
+    val prop = Prop.forAllNoShrink(cases) { case (q, s) =>
+      val nq = norm(q)
+      def spans(gsp: Boolean) =
+        SentenceEvaluator.evaluate(nq, s, gsp).map(_.map { case (k, b) => k -> (b.lo, b.hi) }).toSet
+      (spans(true) == spans(false)) :| s"$q on '${s.text}'"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(11L), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 
   test("valueOf renders empty elastic spans as empty strings") {
