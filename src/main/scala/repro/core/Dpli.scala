@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.index.{HierNode, Indexes, Shard}
+import repro.nlp.CaseFold
 
 /** Decompose Paths and Lookup Indices (§4.2.2, Algorithm 1), over one
   * [[Shard]]'s posting lists. A posting list is an ascending array of token
@@ -165,7 +166,7 @@ object Dpli {
     val fromNodes = dominant.map(n => path(byName(n)))
     val fromAtoms = nq.spanDefs.flatMap(_.atoms).flatMap {
       case Ast.APath(p) if p.isAbsolute => Some(path(p))
-      case Ast.AWords(ws) => ws.find(_.exists(_.isLetterOrDigit)).map(w => WordItem(w.toLowerCase))
+      case Ast.AWords(ws) => ws.find(_.exists(_.isLetterOrDigit)).map(w => WordItem(CaseFold(w)))
       case _ => None
     }
     val fromEnts = nq.freeEnts.map(o => EntityItem(if (o.typ == "Entity") None else Some(o.typ)))

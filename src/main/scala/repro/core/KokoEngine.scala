@@ -1,24 +1,28 @@
 package repro.core
 
+import java.util.Arrays
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.index.{Indexes, Shard}
 
 /** The KOKO engine: the pipeline of Figure 2 on Spark, one job per query.
   *
-  *  1. Normalize   — parse + §4.1 normalization, and matching the query's
-  *                   paths against the dataguides (driver);
+  *  1. Normalize   — parse + §4.1 normalization, matching the query's
+  *                   paths against the dataguides, and compiling the
+  *                   satisfying/excluding clauses into an
+  *                   [[Aggregator.SatPlan]], before the job;
   *
   * then, with the query broadcast, one `mapPartitions` task per
   * document-partitioned [[Shard]] (no shuffle):
   *
   *  2. DPLI        — §4.2 posting-list merges ([[Dpli]]), producing the
   *                   shard's candidate sentences;
-  *  3. LoadArticle — the candidate sentences as [[repro.nlp.Sent]]s;
+  *  3. LoadArticle — the candidate sentences as [[repro.nlp.Sent]]s, and
+  *                   the other sentences of the documents step 5 scores;
   *  4. GSP+extract — per-sentence skip plan + extract clause
   *                   ([[SentenceEvaluator.extract]]);
   *  5. Aggregate   — satisfying/excluding per document that has tuples
-  *                   ([[Aggregator.aggregate]]) over its shard-local
-  *                   sentences.
+  *                   ([[Aggregator.aggregate]] with the broadcast plan)
+  *                   over its shard-local sentences.
   *
   * [[Timings]] mirror Table 2's breakdown (DESIGN.md §5).
   */
@@ -28,7 +32,8 @@ object KokoEngine {
     * dataguide matching counted in `dpli`); the other stages are busy time
     * measured inside the tasks and summed over them. `extract` excludes the
     * GSP time reported in `gsp`; LoadArticle (`load`) includes loading the
-    * documents that `satisfying` scores.
+    * sentences of scored documents that were not candidates; `satisfying`
+    * includes compiling the plan before the job.
     */
   final case class Timings(
       normalize: Double,
@@ -42,15 +47,22 @@ object KokoEngine {
 
   type OutRow = Aggregator.OutRow
 
+  /** A query's rows, timings and stage counts: candidate sentences,
+    * extract tuples, documents aggregated (those with tuples, when the
+    * query has a satisfying or excluding clause), and the distinct
+    * (document, variable, value) triples the satisfying clauses scored.
+    */
   final case class Result(
       rows: Seq[OutRow],
       timings: Timings,
       nCandidateSents: Long,
-      nCandidateTuples: Long)
+      nCandidateTuples: Long,
+      nDocsAggregated: Long,
+      nValuesScored: Long)
 
   /** A shard's output rows, counts and busy nanoseconds per stage. */
   private final case class ShardOut(
-      rows: Seq[OutRow], nCand: Long, nTuples: Long,
+      rows: Seq[OutRow], nCand: Long, nTuples: Long, nDocs: Long, nValues: Long,
       dpli: Long, load: Long, gsp: Long, extract: Long, satisfying: Long)
 
   private def sidFrame(built: Indexes.Built)(f: Shard => Array[Int]): DataFrame = {
@@ -75,7 +87,7 @@ object KokoEngine {
   }
 
   /** Steps 2–5 on one shard. */
-  private def runShard(nq: Normalizer.NormQuery, items: Seq[Dpli.Item], sh: Shard): ShardOut = {
+  private def runShard(nq: Normalizer.NormQuery, items: Seq[Dpli.Item], plan: Aggregator.SatPlan, sh: Shard): ShardOut = {
     var t = System.nanoTime()
     def lap(): Long = { val t0 = t; t = System.nanoTime(); t - t0 }
 
@@ -88,19 +100,26 @@ object KokoEngine {
     val extractNs = lap() - gspNs
 
     var satNs = 0L
+    var nDocs = 0L
+    var nValues = 0L
     val rows =
-      if (nq.satisfying.isEmpty && nq.excluding.isEmpty)
-        tuples.map(c => Aggregator.OutRow(c.doc, c.sid, c.vals, Map.empty))
+      if (plan.isEmpty) tuples.map(c => Aggregator.OutRow(c.doc, c.sid, c.vals, Map.empty))
       else
         tuples.groupBy(_.doc).toSeq.flatMap { case (d, ts) =>
           lap()
-          val docSents = sh.sentencesOfDoc(d).map(sh.sent)
+          // The candidates are loaded already; load only the rest.
+          val docSents = sh.sentencesOfDoc(d).map { s =>
+            val k = Arrays.binarySearch(cand, s)
+            if (k >= 0) loaded(k) else sh.sent(s)
+          }
           loadNs += lap()
-          val out = Aggregator.aggregate(nq, ts, docSents)
+          val out = Aggregator.aggregate(plan, ts, docSents)
           satNs += lap()
-          out
+          nDocs += 1
+          nValues += out.nValues
+          out.rows
         }
-    ShardOut(rows, cand.length, tuples.size, dpliNs, loadNs, gspNs, extractNs, satNs)
+    ShardOut(rows, cand.length, tuples.size, nDocs, nValues, dpliNs, loadNs, gspNs, extractNs, satNs)
   }
 
   def run(
@@ -113,17 +132,23 @@ object KokoEngine {
     t0 = System.nanoTime()
     val items = Dpli.items(built, nq)
     val tResolve = (System.nanoTime() - t0) / 1e9
+    t0 = System.nanoTime()
+    val plan = Aggregator.SatPlan(nq)
+    val tPlan = (System.nanoTime() - t0) / 1e9
 
-    val plan = spark.sparkContext.broadcast((nq, items))
+    val query = spark.sparkContext.broadcast((nq, items, plan))
     val outs =
-      try built.shards.mapPartitions(_.map(sh => runShard(plan.value._1, plan.value._2, sh))).collect()
-      finally plan.destroy()
+      try built.shards.mapPartitions(_.map { sh =>
+        val (nq, items, plan) = query.value
+        runShard(nq, items, plan, sh)
+      }).collect()
+      finally query.destroy()
 
     def secs(f: ShardOut => Long): Double = outs.iterator.map(f).sum / 1e9
+    def count(f: ShardOut => Long): Long = outs.iterator.map(f).sum
     Result(
       outs.toSeq.flatMap(_.rows),
-      Timings(tNorm, tResolve + secs(_.dpli), secs(_.load), secs(_.gsp), secs(_.extract), secs(_.satisfying)),
-      outs.iterator.map(_.nCand).sum,
-      outs.iterator.map(_.nTuples).sum)
+      Timings(tNorm, tResolve + secs(_.dpli), secs(_.load), secs(_.gsp), secs(_.extract), tPlan + secs(_.satisfying)),
+      count(_.nCand), count(_.nTuples), count(_.nDocs), count(_.nValues))
   }
 }

@@ -56,11 +56,12 @@ object KokoParser {
     out.result()
   }
 
+  private val TextToken = "[A-Za-z0-9_']+|[^A-Za-z0-9_'\\s]".r
+
   /** Tokenize a condition string / literal span the way sentences are
     * tokenized: words and punctuation marks become separate tokens.
     */
-  def textTokens(s: String): Seq[String] =
-    "[A-Za-z0-9_']+|[^A-Za-z0-9_'\\s]".r.findAllIn(s).toSeq
+  def textTokens(s: String): Seq[String] = TextToken.findAllIn(s).toSeq
 
   // -------------------------------------------------------------- parser
   def parse(src: String): KokoQuery = new P(tokenize(src)).parseQuery()

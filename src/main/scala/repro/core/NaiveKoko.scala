@@ -5,8 +5,9 @@ import repro.nlp.Sent
 /** Index-free reference implementation of KOKO evaluation.
   *
   * Runs the shared evaluation core ([[SentenceEvaluator.extract]], then
-  * [[Aggregator.aggregate]] per document) over an in-memory corpus with no
-  * index pruning. It is (a) the correctness oracle for [[KokoEngine]]'s
+  * [[Aggregator.aggregate]] per document, with the query's
+  * [[Aggregator.SatPlan]] compiled once per run) over an in-memory corpus
+  * with no index pruning. It is (a) the correctness oracle for [[KokoEngine]]'s
   * DPLI pruning and Spark plan in the test suite, and (b) the ground truth
   * for the index *effectiveness* metric (§6.2.2): the set of sentences
   * that truly contain bindings for all variables of a query.
@@ -22,11 +23,13 @@ object NaiveKoko {
       .map(_.sid).toSet
 
   /** Full evaluation (extract + satisfying + excluding), document by document. */
-  def run(nq: NormQuery, sents: Seq[Sent]): Seq[OutRow] =
+  def run(nq: NormQuery, sents: Seq[Sent]): Seq[OutRow] = {
+    val plan = Aggregator.SatPlan(nq)
     sents.groupBy(_.doc).toSeq.sortBy(_._1).flatMap { case (_, ds) =>
       val docSents = ds.sortBy(_.sid)
-      Aggregator.aggregate(nq, docSents.flatMap(SentenceEvaluator.extract(nq, _)), docSents)
+      Aggregator.aggregate(plan, docSents.flatMap(SentenceEvaluator.extract(nq, _)), docSents).rows
     }
+  }
 
   /** Parse + normalize + run, for tests. */
   def runQuery(src: String, sents: Seq[Sent]): Seq[OutRow] =

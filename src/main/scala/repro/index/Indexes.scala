@@ -28,7 +28,7 @@ final case class HierNode(id: Int, path: String, label: String, depth: Int)
   * document into cached [[Shard]]s:
   *
   *  - `shards`   — the only cached data: per shard, the sentences as
-  *    columns and the W / E / lowercased-word posting lists;
+  *    columns and the W / E / case-folded-word posting lists;
   *  - `plNodes`/`posNodes` — the hierarchy-index dataguides (driver-side;
   *    merging identical nodes removes >99% of tree nodes, so these are
   *    tiny by construction — verified in tests);

@@ -1,7 +1,7 @@
 package repro.index
 
 import java.util.Arrays
-import repro.nlp.{CorpusGen, Sent, Tok, TreeOps}
+import repro.nlp.{CaseFold, CorpusGen, Sent, Tok, TreeOps}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
@@ -65,7 +65,7 @@ object Postings {
   *
   * Postings: W by word, by `plId` and by `posId` (token ordinals); E by
   * entity type (the ordinal of each mention's first token); and a
-  * lowercased word → sentence list for span word atoms.
+  * case-folded word ([[CaseFold]]) → sentence list for span word atoms.
   */
 final class Shard private (
     dict: Array[String],
@@ -106,7 +106,7 @@ final class Shard private (
   /** Postings of an exact word. */
   def wordPostings(w: String): Array[Int] = byWord(idOf(w))
 
-  /** Sentences with a token whose lowercased word is `lower`. */
+  /** Sentences with a token whose case-folded word is `lower`. */
   def lowerSentences(lower: String): Array[Int] = byLower(idOf(lower))
 
   /** First-token ordinals of the mentions of entity type `typ`; of every
@@ -205,7 +205,7 @@ object Shard {
     val off = sents.scanLeft(0)(_ + _._1.t)
     val n = off.last
     val strings = mutable.HashSet[String]()
-    sents.foreach(_._1.toks.foreach(t => strings ++= Seq(t.word, t.word.toLowerCase, t.pos, t.label, t.etype)))
+    sents.foreach(_._1.toks.foreach(t => strings ++= Seq(t.word, CaseFold(t.word), t.pos, t.label, t.etype)))
     val dict = strings.toArray.sorted
     val id = dict.zipWithIndex.toMap
     def col() = new Array[Int](n)
@@ -217,7 +217,7 @@ object Shard {
       val (sent, m) = sents(s)
       sent.toks.foreach { t =>
         val o = off(s) + t.tid
-        word(o) = id(t.word); lower(o) = id(t.word.toLowerCase)
+        word(o) = id(t.word); lower(o) = id(CaseFold(t.word))
         pos(o) = id(t.pos); label(o) = id(t.label); etype(o) = id(t.etype)
         head(o) = t.head; eid(o) = t.eid
         lo(o) = m.lo(t.tid); hi(o) = m.hi(t.tid); depth(o) = m.depth(t.tid)

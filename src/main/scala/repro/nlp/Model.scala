@@ -38,3 +38,19 @@ final case class EntityMention(
     hi: Int,
     etype: String,
     text: String)
+
+/** Locale-free case folding of words, shared by the index and the
+  * evaluator. Each code point `c` maps to `toLowerCase(toUpperCase(c))`,
+  * the per-character rule of `String.equalsIgnoreCase`, so two words fold
+  * to the same string iff they are equal ignoring case, under any default
+  * locale (`"I".toLowerCase` is `"ı"` under a Turkish one).
+  */
+object CaseFold {
+  def apply(w: String): String =
+    if (w.forall(c => c < 128 && (c < 'A' || c > 'Z'))) w
+    else {
+      val sb = new java.lang.StringBuilder(w.length)
+      w.codePoints().forEach(c => sb.appendCodePoint(Character.toLowerCase(Character.toUpperCase(c))))
+      sb.toString
+    }
+}

@@ -1,8 +1,12 @@
 package repro.core
 
+import java.util.Locale
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.nlp.{Sent, Templates}
+import repro.nlp.{CorpusGen, Sent, Templates}
 import scala.util.Random
 
 class AggregatorSpec extends AnyFunSuite {
@@ -138,7 +142,7 @@ class AggregatorSpec extends AnyFunSuite {
         |excluding (str(x) in dict("Location")) or (str(x) matches "CEO")""".stripMargin)
     val tuples = Seq("Portland", "CEO", "Blue Bottle").map(v =>
       SentenceEvaluator.Cand(0, 0, Map("x" -> v)))
-    assert(Aggregator.aggregate(nq, tuples, Nil) ==
+    assert(Aggregator.aggregate(Aggregator.SatPlan(nq), tuples, Nil).rows ==
       Seq(Aggregator.OutRow(0, 0, Map("x" -> "Blue Bottle"), Map.empty)))
   }
 
@@ -166,5 +170,80 @@ class AggregatorSpec extends AnyFunSuite {
   test("occursInOrder allows gaps but not reordering") {
     assert(Aggregator.occursInOrder(Seq("ate", "pie"), Seq("ate", "a", "tasty", "pie")))
     assert(!Aggregator.occursInOrder(Seq("pie", "ate"), Seq("ate", "a", "tasty", "pie")))
+  }
+
+  // ------------------------------------------------ plan == reference scorer
+
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+
+  private def caseVariant(s: String): Gen[String] = Gen.oneOf(
+    s, s.toUpperCase(Locale.ROOT), s.toLowerCase(Locale.ROOT), s.split(" ").map(_.capitalize).mkString(" "))
+
+  /** A span of 1–3 tokens of one of the document's sentences. */
+  private def spanOf(doc: Seq[Sent]): Gen[String] = for {
+    s <- Gen.oneOf(doc)
+    lo <- Gen.choose(0, s.t - 1)
+    n <- Gen.choose(1, 3)
+  } yield s.toks.slice(lo, lo + n).map(_.word).mkString(" ")
+
+  /** Values: spans, entity mentions, words that occur more than once,
+    * values absent from the document and the empty value, in any case.
+    */
+  private def valueIn(doc: Seq[Sent]): Gen[String] = {
+    val mentions = doc.flatMap(_.toks.filter(_.eid >= 0).groupBy(_.eid).values.map(_.map(_.word).mkString(" ")))
+    val repeated = doc.flatMap(_.toks.map(_.word)).groupBy(identity).collect { case (w, ws) if ws.size > 1 => w }
+    val from = Seq(spanOf(doc), Gen.const("Zzyzx"), Gen.const("Blue Zzyzx"), Gen.const("")) ++
+      Seq(mentions, repeated.toSeq).filter(_.nonEmpty).map(Gen.oneOf(_))
+    Gen.oneOf(from).flatMap(identity).flatMap(caseVariant)
+  }
+
+  /** Condition strings: document spans in any case, and the cafe query's phrases. */
+  private def textIn(doc: Seq[Sent]): Gen[String] = Gen.oneOf(
+    spanOf(doc).flatMap(caseVariant),
+    Gen.oneOf(", a cafe", "menu at", "serves coffee", "employs baristas", "coffee menu", "Coffee", "born", ""))
+
+  /** One condition of every `SatCond` kind, with a weight. */
+  private def condIn(doc: Seq[Sent]): Gen[SatCond] = {
+    val text = textIn(doc)
+    val w = Gen.oneOf(0.25, 0.5, 1.0, 0.3, 0.7)
+    Gen.oneOf(
+      for (s <- text; sub <- Gen.oneOf(true, false); w <- w) yield CContains("x", s, sub, w),
+      for (re <- Gen.oneOf("[A-Z].*", ".*[Cc]afe.*", "[Ss]ynesso|[Aa]eropress|[Ll]a Marzocco", "\\p{Lu}\\w+ \\w+");
+           w <- w) yield CMatches("x", re, w),
+      for (d <- Gen.oneOf("Location", "CoffeeDrinks", "NoSuchDict"); w <- w) yield CDict("x", d, w),
+      for (s <- Gen.oneOf(Gen.oneOf("city", "country", "coffee", "serves", "born"), spanOf(doc)); w <- w)
+        yield CSimilar("x", s, w),
+      for (s <- text; before <- Gen.oneOf(true, false); w <- w) yield CAdjacent("x", s, before, w),
+      for (s <- text; w <- w) yield CNear("x", s, w),
+      for (s <- text; after <- Gen.oneOf(true, false); w <- w)
+        yield CDescriptor("x", KokoParser.textTokens(s), after, w))
+  }
+
+  test("the compiled plan scores every condition kind bit-identically to the reference scorer (scalacheck)") {
+    val cases = for {
+      kind <- Gen.oneOf("happy", "wiki", "cafe")
+      seed <- Gen.choose(0L, 1000L)
+      d <- Gen.choose(0L, 200L)
+      doc = CorpusGen.docOf(kind, d, seed)
+      nValues <- Gen.choose(1, 4)
+      values <- Gen.listOfN(nValues, valueIn(doc))
+      nConds <- Gen.choose(1, 4)
+      conds <- Gen.listOfN(nConds, condIn(doc))
+    } yield (doc, values, conds.toVector)
+    val prop = Prop.forAllNoShrink(cases) { case (doc, values, conds) =>
+      // Threshold 0 keeps every row, so aggregate reports every score; its
+      // values share one document's sentence views.
+      val sat = Satisfying("x", conds, 0.0)
+      val tuples = values.map(v => SentenceEvaluator.Cand(doc.head.doc, doc.head.sid, Map("x" -> v)))
+      val rows = Aggregator.aggregate(Aggregator.SatPlan(Seq(sat), Nil), tuples, doc).rows
+      val perCond = for (c <- conds; v <- values)
+        yield bits(Aggregator.condScore(c, v, doc)) == bits(ReferenceScorer.condScore(c, v, doc))
+      val perValue = values.map(v => bits(Aggregator.score(sat, v, doc)) == bits(ReferenceScorer.score(sat, v, doc)))
+      val aggregated = rows.map(r => bits(r.scores("x"))) == values.map(v => bits(ReferenceScorer.score(sat, v, doc)))
+      (perCond.forall(identity) && perValue.forall(identity) && aggregated) :|
+        s"$conds on ${values.map("'" + _ + "'")} in document ${doc.head.doc}: ${doc.map(_.text).mkString(" | ")}"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(23L), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 }

@@ -1,11 +1,12 @@
 package repro.core
 
+import java.util.Locale
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.bench.SyntheticQueries
 import repro.index.{Indexes, Shard}
-import repro.nlp.CorpusGen
+import repro.nlp.{CaseFold, CorpusGen, TreeOps}
 
 class DpliSpec extends AnyFunSuite with SparkSpec {
   import Fixtures._
@@ -153,5 +154,37 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
       assert(valid == truthHere)
     }
     b.unpersist()
+  }
+
+  test("CaseFold equates exactly the words equalsIgnoreCase equates") {
+    val chars = ((0 until 0x300).map(_.toChar.toString) ++
+      Seq("\u0130", "\u0131", "\u017f", "\u212a", "\u03c2", "\u03a3", "\ud801\udc00", "\ud801\udc28")).distinct
+    for (a <- chars; b <- chars)
+      assert((CaseFold(a) == CaseFold(b)) == a.equalsIgnoreCase(b), s"'$a' (${a.map(_.toInt)}) vs '$b'")
+    assert(CaseFold("Blue BOTTLE") == "blue bottle")
+  }
+
+  test("span word atoms find the same sentences in DPLI and the evaluator under a Turkish locale") {
+    // "I ate ..." (fig1), "Anna ate ..." and "i ate ...": a span atom "i" or
+    // "I" must reach both I-sentences, as equalsIgnoreCase does.
+    val lowerI = fig1.copy(sid = 2, toks = fig1.toks.updated(0, fig1.toks.head.copy(word = "i")))
+    val sents = Seq(fig1, anna, lowerI)
+    val saved = Locale.getDefault
+    try {
+      Locale.setDefault(Locale.forLanguageTag("tr"))
+      val prepared = Shard.prepare(sents.iterator)
+      def ids(f: TreeOps.Meta => Array[String]) = prepared.flatMap(p => f(p._2)).distinct.zipWithIndex.toMap
+      val sh = Shard.build(prepared, ids(_.plPath), ids(_.posPath))
+      // A query without paths reads no dataguide, so DPLI needs no Spark index.
+      val noDataguide = new Indexes.Built(null, null, Nil, Nil)
+      Seq("i", "I").foreach { w =>
+        val nq = Normalizer.normalize(KokoParser.parse(s"""extract x:Str from f if ( /ROOT:{ x = "$w" } )"""))
+        val items = repro.core.Dpli.items(noDataguide, nq)
+        assert(items.size == 1, items)
+        val viaIndex = items.head.sentences(sh).map(sh.sid(_)).toSet
+        assert(viaIndex == NaiveKoko.matchingSids(nq, sents), w)
+        assert(viaIndex == Set(fig1.sid, lowerI.sid), w)
+      }
+    } finally Locale.setDefault(saved)
   }
 }

@@ -4,6 +4,9 @@ import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import org.apache.spark.TestListenerBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.Dataset
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.bench.{QualityHarness, Table2Harness}
@@ -208,5 +211,85 @@ class KokoEngineSpec extends AnyFunSuite with SparkSpec {
       assert(truth.subsetOf(cands), s"pruning dropped ${truth.diff(cands).size} true sentences")
     }
     built.unpersist()
+  }
+
+  test("stage counts: documents aggregated and values scored equal a NaiveKoko replay (cafe)") {
+    val corpus = CorpusGen.corpus(spark, "cafe", 25, 6)
+    val built = Indexes.build(spark, corpus)
+    val q = QualityHarness.cafeQuery(0.6, withDescriptors = true)
+    val r = KokoEngine.run(spark, q, built)
+    val nq = Normalizer.normalize(KokoParser.parse(q))
+    val tuples = corpus.collect().toSeq.flatMap(SentenceEvaluator.extract(nq, _))
+    val values = tuples.flatMap(c => nq.satisfying.map(sat => (c.doc, sat.v, c.vals(sat.v)))).distinct
+    assert(r.nCandidateTuples == tuples.size)
+    assert(r.nDocsAggregated == tuples.map(_.doc).distinct.size)
+    assert(r.nValuesScored == values.size)
+    assert(r.nValuesScored > r.nDocsAggregated && r.nDocsAggregated > 0)
+    built.unpersist()
+  }
+
+  /** One condition on `v`, of any kind, over the corpus's own words,
+    * rendered as KOKO text with a weight.
+    */
+  private def condText(v: String, sents: Seq[Sent]): Gen[String] = {
+    val span = for {
+      s <- Gen.oneOf(sents)
+      lo <- Gen.choose(0, s.t - 1)
+      n <- Gen.choose(1, 3)
+    } yield s.toks.slice(lo, lo + n).map(_.word).filter(!_.contains('"')).mkString(" ")
+    val text = Gen.oneOf(span, Gen.oneOf(", a cafe", "serves coffee", "coffee menu", "Cafe", "born"))
+    val cond = Gen.oneOf(
+      text.map(s => s"""str($v) contains "$s""""),
+      text.map(s => s"""str($v) mentions "$s""""),
+      Gen.oneOf("[A-Z].*", ".*[Cc]afe.*", "[Ss]ynesso|[Aa]eropress|[Ll]a Marzocco").map(re => s"""str($v) matches "$re""""),
+      Gen.oneOf("Location", "CoffeeDrinks").map(d => s"""str($v) in dict("$d")"""),
+      Gen.oneOf("city", "coffee", "born", "serves").map(w => s"""$v similarTo "$w""""),
+      Gen.oneOf("city", "coffee", "born", "serves").map(w => s"""str($v) ~ "$w""""),
+      text.map(s => s"""$v "$s""""),
+      text.map(s => s""""$s" $v"""),
+      text.map(s => s"""$v near "$s""""),
+      text.map(s => s"""$v [["$s"]]"""),
+      text.map(s => s"""[["$s"]] $v"""))
+    for (c <- cond; w <- Gen.oneOf("0.25", "0.5", "1", "0.3")) yield s"($c {$w})"
+  }
+
+  test("engine equals naive on generated satisfying and excluding clauses over generated corpora (scalacheck)") {
+    // Extract clauses with one satisfying variable (x) and a second one (v)
+    // for excluding; the threshold is set to a score some row reaches, so
+    // the >= boundary is exercised.
+    val extracts = Seq(
+      ("""extract x:Entity from "c" if ()""", "x"),
+      ("""extract x:Entity from "c" if ( /ROOT:{ v = //verb } )""", "v"))
+    val queries: Seq[Sent] => Gen[String] = sents => for {
+      (extract, other) <- Gen.oneOf(extracts)
+      nSat <- Gen.choose(1, 4)
+      sat <- Gen.listOfN(nSat, condText("x", sents))
+      nExcl <- Gen.choose(0, 2)
+      excl <- Gen.listOfN(nExcl, Gen.oneOf("x", other).flatMap(condText(_, sents)))
+    } yield s"$extract\nsatisfying x ${sat.mkString(" or ")}\nwith threshold THRESHOLD" +
+      (if (excl.isEmpty) "" else s"\nexcluding ${excl.mkString(" or ")}")
+    val cases = for {
+      kind <- Gen.oneOf("happy", "wiki", "cafe")
+      seed <- Gen.choose(0L, 1000L)
+      nDocs <- Gen.choose(5L, 30L)
+      parts <- Gen.choose(1, 3)
+      sents = (0L until nDocs).flatMap(CorpusGen.docOf(kind, _, seed))
+      qs <- Gen.listOfN(3, queries(sents))
+    } yield (kind, seed, nDocs, parts, sents, qs)
+    val prop = Prop.forAllNoShrink(cases) { case (kind, seed, nDocs, parts, sents, qs) =>
+      val built = Indexes.build(spark, CorpusGen.corpus(spark, kind, nDocs, seed).repartition(parts))
+      try Prop.all(qs.map { template =>
+        val scores = NaiveKoko.runQuery(template.replace("THRESHOLD", "0"), sents).map(_.scores("x")).sorted
+        val threshold = if (scores.isEmpty) 0.0 else scores(scores.size / 2)
+        val q = template.replace("THRESHOLD", "\"" + threshold + "\"")
+        val naive = NaiveKoko.runQuery(q, sents)
+        val onBoundary = scores.isEmpty || naive.exists(_.scores("x") == threshold)
+        (onBoundary && canon(KokoEngine.run(spark, q, built).rows) == canon(naive)) :|
+          s"$kind seed $seed, $nDocs docs, $parts partitions:\n$q"
+      }: _*)
+      finally built.unpersist()
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10).withInitialSeed(29L), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 }
