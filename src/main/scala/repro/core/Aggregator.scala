@@ -14,16 +14,18 @@ import scala.collection.mutable
   * expanded descriptor's word sequence occurs in order (gaps allowed) in
   * canonical clause `cⱼ`; the document score is the sum over sentences.
   *
-  * Scoring is split in two. A [[SatPlan]] compiles the query's conditions
-  * once: tokenized and case-folded patterns, compiled regexes, dictionary
-  * sets and the descriptor expansions (capped at [[Embeddings.TopK]] per
-  * query, §5). [[aggregate]] then scores one document's values against
-  * sentence views built once per document: each sentence's folded words
-  * and their set, and its clauses. Words compare by [[CaseFold]], which is
-  * `equalsIgnoreCase`. A sentence that lacks the value, or a descriptor
-  * variant with a word the sentence lacks, contributes 0 and is skipped;
-  * every term is ≥ 0, so the sums keep their order and their bits.
-  * The engine and [[NaiveKoko]] both call [[aggregate]].
+  * Scoring is split in two. A [[SatPlan]] compiles each condition once
+  * per query into a [[Cond]]: a weight and a confidence function over
+  * tokenized and case-folded patterns, compiled regexes, dictionary sets
+  * and the descriptor expansions (capped at [[Embeddings.TopK]] per query,
+  * §5). [[aggregate]] then scores one document's values through one
+  * [[Doc]]: each sentence's folded words, their set and its clauses, built
+  * once, and each [[Value]]'s occurrences, found once per sentence. Words
+  * compare by [[CaseFold]], which is `equalsIgnoreCase`. A sentence that
+  * lacks the value, or a descriptor variant with a word the sentence
+  * lacks, contributes 0 and is skipped; every term is ≥ 0, so the sums
+  * keep their order and their bits. The engine and [[NaiveKoko]] both call
+  * [[aggregate]].
   */
 object Aggregator {
   import Ast._
@@ -39,9 +41,7 @@ object Aggregator {
       vals: Map[String, String],
       scores: Map[String, Double])
 
-  /** Start indices of the contiguous occurrences of folded `needle` in
-    * folded `hay`.
-    */
+  /** Start indices of the contiguous occurrences of `needle` in `hay`, words compared exactly. */
   private def occurrencesIn(needle: Array[String], hay: Array[String]): Array[Int] =
     if (needle.isEmpty) Array.emptyIntArray
     else (0 to hay.length - needle.length).filter(i => matchesAt(needle, i, hay)).toArray
@@ -64,164 +64,117 @@ object Aggregator {
 
   private def folded(words: Seq[String]): Array[String] = words.iterator.map(CaseFold(_)).toArray
 
-  /** Occurrence start indices of a token sequence in a sentence
-    * (case-insensitive, contiguous).
-    */
+  /** Occurrence start indices of a token sequence in a sentence (case-insensitive, contiguous). */
   def occurrences(words: Seq[String], s: Sent): Seq[Int] =
     occurrencesIn(folded(words), folded(s.toks.map(_.word))).toSeq
 
   /** In-order, gapped containment of `needle` in `hay`. */
   def occursInOrder(needle: Seq[String], hay: Seq[String]): Boolean = inOrder(folded(needle), folded(hay))
 
-  // ------------------------------------------------------- document views
-
-  /** One sentence as the conditions read it, built once per document. */
-  private final class SentView(s: Sent) {
-    val words: Array[String] = folded(s.toks.map(_.word))
-    private val wordSet: Set[String] = words.toSet
-    def hasAll(ws: Array[String]): Boolean = ws.forall(wordSet.contains)
-    lazy val clauses: Seq[ClauseDecomposer.Clause] = ClauseDecomposer.clauses(s, TreeOps.meta(s.toks))
-  }
-
-  /** A document's sentences in `sid` order, each viewed on first use. */
-  private final class DocView(sents: IndexedSeq[Sent]) {
-    private val views = new Array[SentView](sents.size)
-    def size: Int = sents.size
-    def apply(i: Int): SentView = {
-      if (views(i) == null) views(i) = new SentView(sents(i))
-      views(i)
-    }
-  }
-
-  /** A value of one document: its tokens, and their occurrences in each
-    * sentence, found on first use.
+  /** One document's sentences in `sid` order as the conditions read them
+    * (folded words and their set on first use, for every sentence; clauses
+    * on first use, per sentence), and the memos of its values, scores and
+    * exclusions, keyed by (variable, value).
     */
-  private final class ValueView(val text: String, doc: DocView) {
-    val words: IndexedSeq[String] = KokoParser.textTokens(text).toIndexedSeq
+  private final class Doc(sents: IndexedSeq[Sent]) {
+    def indices: Range = sents.indices
+    lazy val words: Array[Array[String]] = sents.iterator.map(s => folded(s.toks.map(_.word))).toArray
+    private lazy val wordSets = words.map(_.toSet)
+    def hasAll(i: Int, ws: Array[String]): Boolean = ws.forall(wordSets(i).contains)
+    private val clauseMemo = mutable.HashMap[Int, Seq[ClauseDecomposer.Clause]]()
+    def clauses(i: Int): Seq[ClauseDecomposer.Clause] =
+      clauseMemo.getOrElseUpdate(i, ClauseDecomposer.clauses(sents(i), TreeOps.meta(sents(i).toks)))
+    private val values = mutable.HashMap[String, Value]()
+    private val scores = mutable.HashMap[(String, String), Double]()
+    private val exclusions = mutable.HashMap[(String, String), Boolean]()
+    def nScored: Int = scores.size
+
+    def condScore(c: Cond, text: String): Double = c.score(values.getOrElseUpdate(text, new Value(text, this)), this)
+
+    /** The weighted sum of variable `x`'s clause for value `text`. */
+    def score(x: String, conds: Seq[Cond], text: String): Double =
+      scores.getOrElseUpdate((x, text), conds.map(c => c.weight * condScore(c, text)).sum)
+
+    def excluded(x: String, conds: Seq[Cond], text: String): Boolean =
+      exclusions.getOrElseUpdate((x, text), conds.exists(condScore(_, text) > 0))
+  }
+
+  /** A value of one document: its tokens, folded and not, and their occurrences in each sentence. */
+  private final class Value(val text: String, doc: Doc) {
+    val words: Array[String] = KokoParser.textTokens(text).toArray
     val folded: Array[String] = Aggregator.folded(words)
-    private val occs = new Array[Array[Int]](doc.size)
-    def occurrences(i: Int): Array[Int] = {
-      if (occs(i) == null) {
-        val sv = doc(i)
-        occs(i) = if (sv.hasAll(folded)) occurrencesIn(folded, sv.words) else Array.emptyIntArray
-      }
-      occs(i)
-    }
+    lazy val occurrences: Array[Array[Int]] = Array.tabulate(doc.indices.size)(i =>
+      if (doc.hasAll(i, folded)) occurrencesIn(folded, doc.words(i)) else Array.emptyIntArray)
   }
 
-  // ------------------------------------------------------------ the plan
+  /** One condition, compiled once per query: its weight wᵢ and its confidence mᵢ(e) over a document. */
+  private final case class Cond(weight: Double, score: (Value, Doc) => Double)
 
-  /** One condition, compiled once per query; `score` is its confidence
-    * mᵢ(e) for one value over the document.
-    */
-  private sealed trait Cond extends Serializable {
-    def weight: Double
-    def score(v: ValueView, doc: DocView): Double
-  }
+  private def bool(b: Boolean): Double = if (b) 1.0 else 0.0
 
-  private final case class Contains(weight: Double, words: IndexedSeq[String]) extends Cond {
-    def score(v: ValueView, doc: DocView): Double = {
-      val hay = v.words
-      val hit = words.nonEmpty && (0 to hay.size - words.size).exists(i =>
-        words.indices.forall(k => hay(i + k) == words(k)))
-      if (hit) 1.0 else 0.0
-    }
-  }
-
-  private final case class Mentions(weight: Double, s: String) extends Cond {
-    def score(v: ValueView, doc: DocView): Double = if (v.text.contains(s)) 1.0 else 0.0
-  }
-
-  private final case class Matches(weight: Double, re: Pattern) extends Cond {
-    def score(v: ValueView, doc: DocView): Double = if (re.matcher(v.text).matches()) 1.0 else 0.0
-  }
-
-  private final case class InDict(weight: Double, dict: Set[String]) extends Cond {
-    def score(v: ValueView, doc: DocView): Double = if (dict.contains(v.text.toLowerCase)) 1.0 else 0.0
-  }
-
-  private final case class Similar(weight: Double, word: String) extends Cond {
-    def score(v: ValueView, doc: DocView): Double =
-      v.words.map(Embeddings.sim(_, word)).maxOption.getOrElse(0.0)
-  }
-
-  private final case class Adjacent(weight: Double, pat: Array[String], before: Boolean) extends Cond {
-    def score(v: ValueView, doc: DocView): Double = {
-      val hit = (0 until doc.size).exists { i =>
-        val words = doc(i).words
+  private def compile(c: SatCond): Cond = Cond(c.weight, c match {
+    case CContains(_, s, true, _) => (v, _) => bool(v.text.contains(s))
+    case CContains(_, s, false, _) =>
+      val words = KokoParser.textTokens(s).toArray
+      (v, _) => bool(occurrencesIn(words, v.words).nonEmpty)
+    case CMatches(_, re, _) =>
+      val p = Pattern.compile(re)
+      (v, _) => bool(p.matcher(v.text).matches())
+    case CDict(_, d, _) =>
+      val dict = Vocab.Dicts.getOrElse(d, Set.empty)
+      (v, _) => bool(dict.contains(CaseFold(v.text)))
+    case CSimilar(_, word, _) => (v, _) => v.words.map(Embeddings.sim(_, word)).maxOption.getOrElse(0.0)
+    case CAdjacent(_, s, before, _) =>
+      val pat = folded(KokoParser.textTokens(s))
+      (v, doc) => bool(doc.indices.exists { i =>
+        val words = doc.words(i)
         v.occurrences(i).exists { o =>
           val st = if (before) o - pat.length else o + v.folded.length
           st >= 0 && st + pat.length <= words.length && matchesAt(pat, st, words)
         }
-      }
-      if (hit) 1.0 else 0.0
-    }
-  }
-
-  private final case class Near(weight: Double, pat: Array[String]) extends Cond {
-    def score(v: ValueView, doc: DocView): Double = {
-      val n = v.folded.length
-      var best = 0.0
-      (0 until doc.size).foreach { i =>
-        val vs = v.occurrences(i)
-        if (vs.nonEmpty) {
-          val words = doc(i).words
-          occurrencesIn(pat, words).foreach { p =>
+      })
+    case CNear(_, s, _) =>
+      val pat = folded(KokoParser.textTokens(s))
+      (v, doc) => {
+        val n = v.folded.length
+        var best = 0.0
+        doc.indices.foreach { i =>
+          val vs = v.occurrences(i)
+          if (vs.nonEmpty) occurrencesIn(pat, doc.words(i)).foreach { p =>
             vs.foreach { o =>
-              val d =
-                if (p >= o + n) p - (o + n)
-                else if (o >= p + pat.length) o - (p + pat.length)
-                else 0
+              val d = math.max(0, math.max(p - (o + n), o - (p + pat.length)))
               best = math.max(best, 1.0 / (1 + d))
             }
           }
         }
+        best
       }
-      best
-    }
-  }
-
-  /** `x [[d]]` / `[[d]] x`: `expansions` are the phrase's folded variants
-    * with their scores kᵢ, best first.
-    */
-  private final case class Descriptor(weight: Double, after: Boolean, expansions: Array[(Array[String], Double)])
-      extends Cond {
-    def score(v: ValueView, doc: DocView): Double = {
-      var total = 0.0
-      (0 until doc.size).foreach { i =>
-        val occs = v.occurrences(i)
-        if (occs.nonEmpty) {
-          val sv = doc(i)
-          val live = expansions.filter(e => sv.hasAll(e._1))
-          var best = 0.0
-          if (live.nonEmpty) occs.foreach { occ =>
-            val inRegion: Int => Boolean =
-              if (after) _ >= occ + v.folded.length else _ < occ
-            val regions = sv.clauses.map(cl => (cl.tids.filter(inRegion).map(sv.words(_)).toArray, cl.score))
-            live.foreach { case (dWords, k) =>
-              var sum = 0.0
-              regions.foreach { case (words, l) => if (inOrder(dWords, words)) sum += k * l }
-              best = math.max(best, sum)
+    case CDescriptor(_, phrase, after, _) => // the phrase's folded variants and their kᵢ, best first
+      val expansions = Embeddings.expand(phrase).map { case (ws, k) => (folded(ws), k) }.toArray
+      (v, doc) => {
+        var total = 0.0
+        doc.indices.foreach { i =>
+          val occs = v.occurrences(i)
+          if (occs.nonEmpty) {
+            val sentWords = doc.words(i)
+            val live = expansions.filter(e => doc.hasAll(i, e._1))
+            var best = 0.0
+            if (live.nonEmpty) occs.foreach { occ =>
+              val inRegion: Int => Boolean =
+                if (after) _ >= occ + v.folded.length else _ < occ
+              val regions = doc.clauses(i).map(cl => (cl.tids.filter(inRegion).map(sentWords(_)).toArray, cl.score))
+              live.foreach { case (dWords, k) =>
+                var sum = 0.0
+                regions.foreach { case (words, l) => if (inOrder(dWords, words)) sum += k * l }
+                best = math.max(best, sum)
+              }
             }
+            total += best
           }
-          total += best
         }
+        total
       }
-      total
-    }
-  }
-
-  private def compile(c: SatCond): Cond = c match {
-    case CContains(_, s, true, w) => Mentions(w, s)
-    case CContains(_, s, false, w) => Contains(w, KokoParser.textTokens(s).toIndexedSeq)
-    case CMatches(_, re, w) => Matches(w, Pattern.compile(re))
-    case CDict(_, d, w) => InDict(w, Vocab.Dicts.getOrElse(d, Set.empty))
-    case CSimilar(_, word, w) => Similar(w, word)
-    case CAdjacent(_, s, before, w) => Adjacent(w, folded(KokoParser.textTokens(s)), before)
-    case CNear(_, s, w) => Near(w, folded(KokoParser.textTokens(s)))
-    case CDescriptor(_, phrase, after, w) =>
-      Descriptor(w, after, Embeddings.expand(phrase).map { case (ws, k) => (folded(ws), k) }.toArray)
-  }
+  })
 
   /** A query's satisfying and excluding clauses, compiled once per query
     * (before the Spark job, and broadcast with the query). Excluding
@@ -236,50 +189,21 @@ object Aggregator {
 
   object SatPlan {
     def apply(nq: NormQuery): SatPlan = apply(nq.satisfying, nq.excluding)
-
     def apply(satisfying: Seq[Satisfying], excluding: Seq[SatCond]): SatPlan =
       new SatPlan(
         satisfying.map(sat => sat -> sat.conds.map(compile)),
         excluding.map(_.v).distinct.map(v => v -> excluding.filter(_.v == v).map(compile)))
   }
 
-  // ------------------------------------------------------------- scoring
-
-  /** Scores the values of one document: one view per sentence and per
-    * value, one score per (variable, value).
-    */
-  private final class DocScorer(docSents: Seq[Sent]) {
-    private val doc = new DocView(docSents.toIndexedSeq)
-    private val values = mutable.HashMap[String, ValueView]()
-    private val scores = mutable.HashMap[(String, String), Double]()
-    private val excludedBy = mutable.HashMap[(String, String), Boolean]()
-
-    def condScore(c: Cond, text: String): Double =
-      c.score(values.getOrElseUpdate(text, new ValueView(text, doc)), doc)
-
-    /** The weighted sum of variable `x`'s clause for value `text`. */
-    def satScore(x: String, conds: Seq[Cond], text: String): Double =
-      scores.getOrElseUpdate((x, text), conds.map(c => c.weight * condScore(c, text)).sum)
-
-    def nScored: Int = scores.size
-
-    def excluded(plan: SatPlan, c: Cand): Boolean = plan.excluding.exists { case (x, conds) =>
-      c.vals.get(x).exists(text =>
-        excludedBy.getOrElseUpdate((x, text), conds.exists(condScore(_, text) > 0)))
-    }
-  }
-
   /** Confidence mᵢ(e) of one condition for value `e` over the document. */
   def condScore(c: SatCond, value: String, docSents: Seq[Sent]): Double =
-    new DocScorer(docSents).condScore(compile(c), value)
+    new Doc(docSents.toIndexedSeq).condScore(compile(c), value)
 
   /** Weighted-sum score of a satisfying clause for one value. */
   def score(sat: Satisfying, value: String, docSents: Seq[Sent]): Double =
-    new DocScorer(docSents).satScore(sat.v, sat.conds.map(compile), value)
+    new Doc(docSents.toIndexedSeq).score(sat.v, sat.conds.map(compile), value)
 
-  /** One document's output rows, and the number of distinct
-    * (variable, value) pairs its satisfying clauses scored.
-    */
+  /** One document's output rows, and the number of (variable, value) pairs its satisfying clauses scored. */
   final case class DocRows(rows: Seq[OutRow], nValues: Int)
 
   /** The output rows of one document (§4.4.1): each tuple is scored by
@@ -289,14 +213,13 @@ object Aggregator {
     * document's sentences, sorted by `sid`.
     */
   def aggregate(plan: SatPlan, tuples: Seq[Cand], docSents: Seq[Sent]): DocRows = {
-    val scorer = new DocScorer(docSents)
+    val doc = new Doc(docSents.toIndexedSeq)
     val rows = tuples.flatMap { c =>
-      val scores = plan.satisfying.map { case (sat, conds) =>
-        sat.v -> scorer.satScore(sat.v, conds, c.vals(sat.v))
-      }.toMap
-      val pass = plan.satisfying.forall { case (sat, _) => scores(sat.v) >= sat.threshold }
-      if (pass && !scorer.excluded(plan, c)) Some(OutRow(c.doc, c.sid, c.vals, scores)) else None
+      val scores = plan.satisfying.map { case (sat, conds) => sat.v -> doc.score(sat.v, conds, c.vals(sat.v)) }.toMap
+      val keep = plan.satisfying.forall { case (sat, _) => scores(sat.v) >= sat.threshold } &&
+        !plan.excluding.exists { case (x, conds) => c.vals.get(x).exists(doc.excluded(x, conds, _)) }
+      if (keep) Some(OutRow(c.doc, c.sid, c.vals, scores)) else None
     }
-    DocRows(rows, scorer.nScored)
+    DocRows(rows, doc.nScored)
   }
 }

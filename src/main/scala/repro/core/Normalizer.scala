@@ -62,6 +62,15 @@ object Normalizer {
     freeEnts.find(_.typ == "Str").foreach { o =>
       throw KokoParser.ParseError(s"output ${o.name}:Str is not defined in the extract block")
     }
+    // A scored variable must be bound; a row reports one score per variable.
+    val bound = defNames ++ q.outputs.map(_.name)
+    val satVars = q.satisfying.map(_.v)
+    (satVars ++ q.excluding.map(_.v)).find(!bound(_)).foreach { v =>
+      throw KokoParser.ParseError(s"satisfying/excluding clause on unbound variable '$v'")
+    }
+    satVars.diff(satVars.distinct).headOption.foreach { v =>
+      throw KokoParser.ParseError(s"more than one satisfying clause on variable '$v'")
+    }
     NormQuery(q.outputs, q.input, nodeDefs.result(), spanDefs.result(), freeEnts,
       q.constraints ++ derived.result(), q.satisfying, q.excluding)
   }

@@ -41,15 +41,15 @@ object Embeddings {
   private val table: Map[(String, String), Double] = {
     val m = Map.newBuilder[(String, String), Double]
     pairs.foreach { case (a, b, s) =>
-      m += ((a.toLowerCase, b.toLowerCase) -> s)
-      m += ((b.toLowerCase, a.toLowerCase) -> s)
+      m += ((CaseFold(a), CaseFold(b)) -> s)
+      m += ((CaseFold(b), CaseFold(a)) -> s)
     }
     m.result()
   }
 
-  /** Similarity in [0,1]; 1.0 for equal words (case-insensitive). */
+  /** Similarity in [0,1]; 1.0 for equal words (case-insensitive, by [[CaseFold]]). */
   def sim(a: String, b: String): Double = {
-    val (x, y) = (a.toLowerCase, b.toLowerCase)
+    val (x, y) = (CaseFold(a), CaseFold(b))
     if (x == y) 1.0 else table.getOrElse((x, y), 0.0)
   }
 
@@ -62,7 +62,7 @@ object Embeddings {
 
   /** Words similar to `w` (score ≥ [[MinSim]]), including `w` itself. */
   def neighbors(w: String): Seq[(String, Double)] = {
-    val lw = w.toLowerCase
+    val lw = CaseFold(w)
     val others = table.collect {
       case ((a, b), s) if a == lw && s >= MinSim => (b, s)
     }.toSeq

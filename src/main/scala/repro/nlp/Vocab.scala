@@ -70,8 +70,8 @@ object Vocab {
 
   val HappyVerbs: Vector[String] = Vector("finished", "cleaned", "painted", "fixed", "planted", "visited")
 
-  /** Named dictionaries for the `dict(...)` condition (Appendix A). */
+  /** Named dictionaries for the `dict(...)` condition (Appendix A), case-folded by [[CaseFold]]. */
   val Dicts: Map[String, Set[String]] = Map(
-    "Location" -> (Cities ++ Countries).map(_.toLowerCase).toSet,
-    "CoffeeDrinks" -> Drinks.toSet)
+    "Location" -> (Cities ++ Countries).map(CaseFold(_)).toSet,
+    "CoffeeDrinks" -> Drinks.map(CaseFold(_)).toSet)
 }

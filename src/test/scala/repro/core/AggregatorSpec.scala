@@ -161,6 +161,39 @@ class AggregatorSpec extends AnyFunSuite {
     assert(rows.forall(_.doc == 0))
   }
 
+  test("two satisfying clauses on variables bound to the same value are scored by their own conditions") {
+    val plan = Aggregator.SatPlan(Seq(
+      Satisfying("x", Seq(CContains("x", "Bottle", substring = false, 1)), 1.0),
+      Satisfying("y", Seq(CContains("y", "Nothing", substring = false, 1)), 0.5)), Nil)
+    val tuples = Seq("Blue Bottle", "Nothing Bottle", "Nothing").map(v =>
+      SentenceEvaluator.Cand(0, 0, Map("x" -> v, "y" -> v)))
+    // Only "Nothing Bottle" passes both thresholds; "Blue Bottle" passes x's
+    // alone and "Nothing" passes y's alone.
+    assert(Aggregator.aggregate(plan, tuples, servesDoc).rows == Seq(Aggregator.OutRow(0, 0,
+      Map("x" -> "Nothing Bottle", "y" -> "Nothing Bottle"), Map("x" -> 1.0, "y" -> 1.0))))
+    val keepAll = Aggregator.SatPlan(Seq(
+      Satisfying("x", Seq(CContains("x", "Bottle", substring = false, 1)), 0.0),
+      Satisfying("y", Seq(CContains("y", "Nothing", substring = false, 1)), 0.0)), Nil)
+    val out = Aggregator.aggregate(keepAll, tuples, servesDoc)
+    assert(out.rows.map(_.scores) == Seq(
+      Map("x" -> 1.0, "y" -> 0.0), Map("x" -> 1.0, "y" -> 1.0), Map("x" -> 0.0, "y" -> 1.0)))
+    assert(out.nValues == 6)
+  }
+
+  test("dict and similarity fold case without the default locale") {
+    val saved = Locale.getDefault
+    try {
+      // Under a Turkish locale "I".toLowerCase is dotless "ı".
+      Locale.setDefault(Locale.forLanguageTag("tr"))
+      assert(repro.nlp.Embeddings.sim("CITY", "city") == 1.0)
+      assert(repro.nlp.Embeddings.sim("PARIS", "CITY") == repro.nlp.Embeddings.sim("Paris", "city"))
+      assert(repro.nlp.Embeddings.neighbors("BARISTA").map(_._1).contains("baristas"))
+      assert(Aggregator.condScore(CDict("x", "Location", 1), "PARIS", Nil) == 1.0)
+      assert(Aggregator.condScore(CSimilar("x", "CITY", 1), "Paris", Nil) ==
+        repro.nlp.Embeddings.sim("Paris", "city"))
+    } finally Locale.setDefault(saved)
+  }
+
   test("occurrences finds contiguous case-insensitive token matches") {
     assert(Aggregator.occurrences(Seq("chocolate", "ice", "cream"), fig1) == Seq(3))
     assert(Aggregator.occurrences(Seq("ATE"), fig1) == Seq(1, 13))

@@ -74,4 +74,24 @@ class NormalizerSpec extends AnyFunSuite {
         |excluding (str(x) matches "Z")""".stripMargin)
     assert(nq.neededVars.toSet == Set("x", "v"))
   }
+
+  private def rejects(src: String, variable: String): Unit = {
+    val e = intercept[KokoParser.ParseError](norm(src))
+    assert(e.getMessage.contains(s"'$variable'"), e.getMessage)
+  }
+
+  test("a satisfying clause on a variable the query never binds is rejected") {
+    rejects("""extract x:Entity from f if () satisfying z (str(z) contains "Cafe" {1})""", "z")
+  }
+
+  test("an excluding condition on a variable the query never binds is rejected") {
+    rejects("""extract x:Entity from f if () excluding (str(z) matches "Z")""", "z")
+  }
+
+  test("a second satisfying clause on one variable is rejected") {
+    rejects(
+      """extract x:Entity from f if ()
+        |satisfying x (str(x) contains "Cafe" {1}) with threshold 0.5
+        |satisfying x (str(x) contains "Nothing" {1}) with threshold 0.5""".stripMargin, "x")
+  }
 }
