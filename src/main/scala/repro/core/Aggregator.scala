@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.regex.Pattern
-import repro.nlp.{CaseFold, ClauseDecomposer, Embeddings, Sent, TreeOps, Vocab}
+import repro.nlp.{CaseFold, ClauseDecomposer, Embeddings, Sent, Vocab}
 import scala.collection.mutable
 
 /** Evidence aggregation for satisfying / excluding clauses (§4.4.1).
@@ -42,9 +42,15 @@ object Aggregator {
       scores: Map[String, Double])
 
   /** Start indices of the contiguous occurrences of `needle` in `hay`, words compared exactly. */
-  private def occurrencesIn(needle: Array[String], hay: Array[String]): Array[Int] =
-    if (needle.isEmpty) Array.emptyIntArray
-    else (0 to hay.length - needle.length).filter(i => matchesAt(needle, i, hay)).toArray
+  private def occurrencesIn(needle: Array[String], hay: Array[String]): Array[Int] = {
+    val out = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (needle.nonEmpty && i <= hay.length - needle.length) {
+      if (matchesAt(needle, i, hay)) out += i
+      i += 1
+    }
+    out.result()
+  }
 
   private def matchesAt(needle: Array[String], st: Int, hay: Array[String]): Boolean = {
     var k = 0
@@ -62,28 +68,60 @@ object Aggregator {
     }
   }
 
-  private def folded(words: Seq[String]): Array[String] = words.iterator.map(CaseFold(_)).toArray
+  private def folded(words: Iterable[String]): Array[String] = {
+    val out = new Array[String](words.size)
+    var i = 0
+    words.foreach { w => out(i) = CaseFold(w); i += 1 }
+    out
+  }
+
+  private def foldedWords(s: Sent): Array[String] = folded(s.toks.view.map(_.word))
 
   /** Occurrence start indices of a token sequence in a sentence (case-insensitive, contiguous). */
   def occurrences(words: Seq[String], s: Sent): Seq[Int] =
-    occurrencesIn(folded(words), folded(s.toks.map(_.word))).toSeq
+    occurrencesIn(folded(words), foldedWords(s)).toSeq
 
   /** In-order, gapped containment of `needle` in `hay`. */
   def occursInOrder(needle: Seq[String], hay: Seq[String]): Boolean = inOrder(folded(needle), folded(hay))
 
+  /** A descriptor's folded variants and their kᵢ, best first, compiled
+    * once per condition; it keys the [[Doc]]'s memo of live variants.
+    */
+  private final class Variants(val all: Seq[(Array[String], Double)]) extends Serializable
+
   /** One document's sentences in `sid` order as the conditions read them
     * (folded words and their set on first use, for every sentence; clauses
-    * on first use, per sentence), and the memos of its values, scores and
-    * exclusions, keyed by (variable, value).
+    * and each descriptor's live variants on first use, per sentence), and
+    * the memos of its values, scores and exclusions, keyed by (variable,
+    * value).
     */
   private final class Doc(sents: IndexedSeq[Sent]) {
     def indices: Range = sents.indices
-    lazy val words: Array[Array[String]] = sents.iterator.map(s => folded(s.toks.map(_.word))).toArray
-    private lazy val wordSets = words.map(_.toSet)
-    def hasAll(i: Int, ws: Array[String]): Boolean = ws.forall(wordSets(i).contains)
-    private val clauseMemo = mutable.HashMap[Int, Seq[ClauseDecomposer.Clause]]()
-    def clauses(i: Int): Seq[ClauseDecomposer.Clause] =
-      clauseMemo.getOrElseUpdate(i, ClauseDecomposer.clauses(sents(i), TreeOps.meta(sents(i).toks)))
+    lazy val words: Array[Array[String]] = sents.iterator.map(foldedWords).toArray
+    private lazy val wordSets = words.map { ws =>
+      val set = new java.util.HashSet[String](2 * ws.length)
+      ws.foreach(set.add)
+      set
+    }
+    def hasAll(i: Int, ws: Array[String]): Boolean = {
+      val set = wordSets(i)
+      var k = 0
+      while (k < ws.length && set.contains(ws(k))) k += 1
+      k == ws.length
+    }
+    private val clauseMemo = new Array[Seq[ClauseDecomposer.Clause]](sents.size)
+    def clauses(i: Int): Seq[ClauseDecomposer.Clause] = {
+      if (clauseMemo(i) == null) clauseMemo(i) = ClauseDecomposer.clauses(sents(i))
+      clauseMemo(i)
+    }
+    private val liveMemo = mutable.HashMap[Variants, Array[Seq[(Array[String], Double)]]]()
+
+    /** The variants of `d` whose words all occur in sentence `i`. */
+    def live(d: Variants, i: Int): Seq[(Array[String], Double)] = {
+      val bySent = liveMemo.getOrElseUpdate(d, new Array(sents.size))
+      if (bySent(i) == null) bySent(i) = d.all.filter(e => hasAll(i, e._1))
+      bySent(i)
+    }
     private val values = mutable.HashMap[String, Value]()
     private val scores = mutable.HashMap[(String, String), Double]()
     private val exclusions = mutable.HashMap[(String, String), Boolean]()
@@ -149,15 +187,15 @@ object Aggregator {
         }
         best
       }
-    case CDescriptor(_, phrase, after, _) => // the phrase's folded variants and their kᵢ, best first
-      val expansions = Embeddings.expand(phrase).map { case (ws, k) => (folded(ws), k) }.toArray
+    case CDescriptor(_, phrase, after, _) =>
+      val variants = new Variants(Embeddings.expand(phrase).map { case (ws, k) => (folded(ws), k) })
       (v, doc) => {
         var total = 0.0
         doc.indices.foreach { i =>
           val occs = v.occurrences(i)
           if (occs.nonEmpty) {
             val sentWords = doc.words(i)
-            val live = expansions.filter(e => doc.hasAll(i, e._1))
+            val live = doc.live(variants, i)
             var best = 0.0
             if (live.nonEmpty) occs.foreach { occ =>
               val inRegion: Int => Boolean =

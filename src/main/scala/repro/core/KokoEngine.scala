@@ -48,22 +48,38 @@ object KokoEngine {
   type OutRow = Aggregator.OutRow
 
   /** A query's rows, timings and stage counts: candidate sentences,
-    * extract tuples, documents aggregated (those with tuples, when the
-    * query has a satisfying or excluding clause), and the distinct
-    * (document, variable, value) triples the satisfying clauses scored.
+    * sentences LoadArticle built (the candidates plus the other sentences
+    * of the documents aggregated), extract tuples, documents aggregated
+    * (those with tuples, when the query has a satisfying or excluding
+    * clause), and the distinct (document, variable, value) triples the
+    * satisfying clauses scored.
     */
   final case class Result(
       rows: Seq[OutRow],
       timings: Timings,
       nCandidateSents: Long,
+      nSentsLoaded: Long,
       nCandidateTuples: Long,
       nDocsAggregated: Long,
       nValuesScored: Long)
 
-  /** A shard's output rows, counts and busy nanoseconds per stage. */
+  /** A shard's output rows as columns, its counts and its busy nanoseconds
+    * per stage. Row `i` is `(doc(i), sid(i))` with value `vals(k)(i)` for
+    * the query's `k`-th needed variable (null if the row has none) and
+    * score `scores(k)(i)` for its `k`-th satisfying clause: flat arrays
+    * serialize smaller and faster than one `OutRow` of `Map`s per row.
+    */
   private final case class ShardOut(
-      rows: Seq[OutRow], nCand: Long, nTuples: Long, nDocs: Long, nValues: Long,
-      dpli: Long, load: Long, gsp: Long, extract: Long, satisfying: Long)
+      doc: Array[Long], sid: Array[Long], vals: Array[Array[String]], scores: Array[Array[Double]],
+      nCand: Long, nLoaded: Long, nTuples: Long, nDocs: Long, nValues: Long,
+      dpli: Long, load: Long, gsp: Long, extract: Long, satisfying: Long) {
+
+    def rows(valVars: Seq[String], scoreVars: Seq[String]): Seq[OutRow] = doc.indices.map { i =>
+      Aggregator.OutRow(doc(i), sid(i),
+        valVars.indices.collect { case k if vals(k)(i) != null => valVars(k) -> vals(k)(i) }.toMap,
+        scoreVars.indices.map(k => scoreVars(k) -> scores(k)(i)).toMap)
+    }
+  }
 
   private def sidFrame(built: Indexes.Built)(f: Shard => Array[Int]): DataFrame = {
     import built.spark.implicits._
@@ -94,6 +110,7 @@ object KokoEngine {
     val cand = Dpli.candidates(sh, items).getOrElse(Array.range(0, sh.nSents))
     val dpliNs = lap()
     val loaded = cand.map(sh.sent)
+    var nLoaded = loaded.length.toLong
     var loadNs = lap()
     var gspNs = 0L
     val tuples = loaded.toSeq.flatMap(s => SentenceEvaluator.extract(nq, s, gspNs += _))
@@ -110,7 +127,7 @@ object KokoEngine {
           // The candidates are loaded already; load only the rest.
           val docSents = sh.sentencesOfDoc(d).map { s =>
             val k = Arrays.binarySearch(cand, s)
-            if (k >= 0) loaded(k) else sh.sent(s)
+            if (k >= 0) loaded(k) else { nLoaded += 1; sh.sent(s) }
           }
           loadNs += lap()
           val out = Aggregator.aggregate(plan, ts, docSents)
@@ -119,7 +136,11 @@ object KokoEngine {
           nValues += out.nValues
           out.rows
         }
-    ShardOut(rows, cand.length, tuples.size, nDocs, nValues, dpliNs, loadNs, gspNs, extractNs, satNs)
+    val out = rows.toArray
+    ShardOut(out.map(_.doc), out.map(_.sid),
+      nq.neededVars.map(v => out.map(_.vals.getOrElse(v, null))).toArray,
+      nq.satisfying.map(sat => out.map(_.scores(sat.v))).toArray,
+      cand.length, nLoaded, tuples.size, nDocs, nValues, dpliNs, loadNs, gspNs, extractNs, satNs)
   }
 
   def run(
@@ -146,9 +167,10 @@ object KokoEngine {
 
     def secs(f: ShardOut => Long): Double = outs.iterator.map(f).sum / 1e9
     def count(f: ShardOut => Long): Long = outs.iterator.map(f).sum
+    val scoreVars = nq.satisfying.map(_.v)
     Result(
-      outs.toSeq.flatMap(_.rows),
+      outs.toSeq.flatMap(_.rows(nq.neededVars, scoreVars)),
       Timings(tNorm, tResolve + secs(_.dpli), secs(_.load), secs(_.gsp), secs(_.extract), tPlan + secs(_.satisfying)),
-      count(_.nCand), count(_.nTuples), count(_.nDocs), count(_.nValues))
+      count(_.nCand), count(_.nLoaded), count(_.nTuples), count(_.nDocs), count(_.nValues))
   }
 }

@@ -71,6 +71,9 @@ object Normalizer {
     satVars.diff(satVars.distinct).headOption.foreach { v =>
       throw KokoParser.ParseError(s"more than one satisfying clause on variable '$v'")
     }
+    // A satisfying clause scores its own variable's value.
+    for (sat <- q.satisfying; c <- sat.conds.find(_.v != sat.v))
+      throw KokoParser.ParseError(s"condition on variable '${c.v}' in the satisfying clause of variable '${sat.v}'")
     NormQuery(q.outputs, q.input, nodeDefs.result(), spanDefs.result(), freeEnts,
       q.constraints ++ derived.result(), q.satisfying, q.excluding)
   }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.nlp.{EntityMention, Sent, TreeOps}
+import repro.nlp.{Sent, TreeOps}
 
 /** Per-sentence evaluation of the extract clause (§4.3).
   *
@@ -56,9 +56,10 @@ object SentenceEvaluator {
       s: Sent,
       useGsp: Boolean,
       gspNs: Long => Unit = _ => ()): Seq[Map[String, Binding]] = {
-    val meta = TreeOps.meta(s.toks)
     val t = s.t
-    val mentions = TreeOps.entityMentions(s)
+    lazy val spans = TreeOps.spans(s.toks)
+    lazy val mentions = TreeOps.mentionRanges(t, s.toks(_).eid)
+    def etypeAccepts(typ: String, lo: Int): Boolean = typ == "Entity" || s.toks(lo).etype == typ
     val results = Seq.newBuilder[Map[String, Binding]]
 
     // ---- cached atom candidates (bound-independent atoms only)
@@ -69,13 +70,10 @@ object SentenceEvaluator {
       b.result()
     }
 
-    def mentionAt(lo: Int, hi: Int): Option[EntityMention] =
-      mentions.find(m => m.lo == lo && m.hi == hi)
-
     def elasticAccepts(conds: Seq[StepCond], b: Binding): Boolean = conds.forall { c =>
       c.attr match {
         case "etype" =>
-          !b.isEmptySpan && mentionAt(b.lo, b.hi).exists(m => c.value == "Entity" || m.etype == c.value)
+          !b.isEmptySpan && mentions.contains(b.lo -> b.hi) && etypeAccepts(c.value, b.lo)
         case "regex" => valueOf(s, b).matches(c.value)
         case "min" => b.len >= c.value.toInt
         case "max" => b.len <= c.value.toInt
@@ -87,7 +85,7 @@ object SentenceEvaluator {
     def atomCands(a: Atom, bound: Map[String, Binding]): Seq[Binding] = a match {
       case AVar(n) => bound.get(n).toSeq
       case ASubtree(n) =>
-        bound.get(n).toSeq.filter(_.tid >= 0).map(b => Binding(meta.lo(b.tid), meta.hi(b.tid), -1))
+        bound.get(n).toSeq.filter(_.tid >= 0).map(b => Binding(spans.lo(b.tid), spans.hi(b.tid), -1))
       case other =>
         atomCache.getOrElseUpdate(other, other match {
           case APath(p) => PathMatcher.candidates(p, s).map(i => Binding(i, i, i))
@@ -193,8 +191,7 @@ object SentenceEvaluator {
       nq.nodeDefs.map(nd => (bound: Bound) =>
         atomCands(APath(nd.path), bound).map(b => bound + (nd.name -> b))) ++
       nq.freeEnts.map(ov => (bound: Bound) =>
-        mentions.filter(mn => ov.typ == "Entity" || mn.etype == ov.typ)
-          .map(mn => bound + (ov.name -> Binding(mn.lo, mn.hi, -1)))) ++
+        mentions.collect { case (lo, hi) if etypeAccepts(ov.typ, lo) => bound + (ov.name -> Binding(lo, hi, -1)) }) ++
       nq.spanDefs.map(sd => (bound: Bound) => matchSpan(sd, bound).map(bound ++ _))
 
     def assign(i: Int, bound: Bound): Unit =

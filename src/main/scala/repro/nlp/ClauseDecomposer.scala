@@ -9,8 +9,10 @@ package repro.nlp
   *
   * Here a clause is headed by the root verb or by any verb attached as
   * `conj` / `rcmod` / `xcomp` / `advcl`; its token set is the head's
-  * subtree minus the subtrees of nested clause heads. Each clause carries
-  * the score l_j = 1.0 (the paper leaves l_j abstract).
+  * subtree minus the subtrees of nested clause heads, i.e. the tokens whose
+  * nearest clause head on their chain to the root (the token itself
+  * included) is that head. Clauses come in head order, each with its tokens
+  * ascending, and carry the score l_j = 1.0 (the paper leaves l_j abstract).
   */
 object ClauseDecomposer {
 
@@ -18,20 +20,25 @@ object ClauseDecomposer {
 
   private val ClauseLabels = Set("conj", "rcmod", "xcomp", "advcl")
 
-  def clauses(s: Sent, meta: TreeOps.Meta): Seq[Clause] = {
-    val heads = s.toks.filter { t =>
-      t.head < 0 || (ClauseLabels.contains(t.label) && (t.pos == "verb" || t.pos == "aux"))
-    }.map(_.tid)
-    if (heads.isEmpty) return Seq(Clause(s.toks.map(_.tid).toVector, 1.0))
-    heads.map { h =>
-      // Tokens in h's subtree not claimed by a nested clause head.
-      val nested = heads.filter(o => o != h && meta.lo(h) <= o && o <= meta.hi(h) &&
-        TreeOps.isAncestorOf(s.toks, h, o))
-      val tids = (meta.lo(h) to meta.hi(h)).filter { t =>
-        (t == h || TreeOps.isAncestorOf(s.toks, h, t)) &&
-        !nested.exists(o => o == t || TreeOps.isAncestorOf(s.toks, o, t))
-      }.toVector
-      Clause(tids, 1.0)
-    }.filter(_.tids.nonEmpty)
+  def clauses(s: Sent): Seq[Clause] = {
+    val n = s.t
+    val toks = s.toks
+    // slot(t): the index of t's clause among the heads, -1 until known.
+    val slot = Array.fill(n)(-1)
+    var nHeads = 0
+    toks.foreach { t =>
+      if (t.head < 0 || (ClauseLabels.contains(t.label) && (t.pos == "verb" || t.pos == "aux"))) {
+        slot(t.tid) = nHeads
+        nHeads += 1
+      }
+    }
+    if (nHeads == 0) return Seq(Clause(Vector.range(0, n), 1.0))
+    def slotOf(t: Int): Int = {
+      if (slot(t) < 0) slot(t) = slotOf(toks(t).head)
+      slot(t)
+    }
+    val tids = Array.fill(nHeads)(Vector.newBuilder[Int])
+    (0 until n).foreach(t => tids(slotOf(t)) += t)
+    tids.map(b => Clause(b.result(), 1.0)).toSeq
   }
 }

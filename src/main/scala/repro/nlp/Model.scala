@@ -43,14 +43,19 @@ final case class EntityMention(
   * evaluator. Each code point `c` maps to `toLowerCase(toUpperCase(c))`,
   * the per-character rule of `String.equalsIgnoreCase`, so two words fold
   * to the same string iff they are equal ignoring case, under any default
-  * locale (`"I".toLowerCase` is `"ı"` under a Turkish one).
+  * locale (`"I".toLowerCase` is `"ı"` under a Turkish one). On ASCII the
+  * rule maps `A`–`Z` to `a`–`z` and nothing else, which is what
+  * `toLowerCase(Locale.ROOT)` does there.
   */
 object CaseFold {
-  def apply(w: String): String =
-    if (w.forall(c => c < 128 && (c < 'A' || c > 'Z'))) w
+  def apply(w: String): String = {
+    var i = 0
+    while (i < w.length && w.charAt(i) < 128) i += 1
+    if (i == w.length) w.toLowerCase(java.util.Locale.ROOT)
     else {
       val sb = new java.lang.StringBuilder(w.length)
       w.codePoints().forEach(c => sb.appendCodePoint(Character.toLowerCase(Character.toUpperCase(c))))
       sb.toString
     }
+  }
 }

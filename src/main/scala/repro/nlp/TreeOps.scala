@@ -3,12 +3,15 @@ package repro.nlp
 /** Pure dependency-tree computations shared by the indexer and evaluator. */
 object TreeOps {
 
-  /** Per-token tree metadata for one sentence.
-    *
-    * `lo(i)`/`hi(i)` are the first/last token ids of token `i`'s subtree
-    * (the `u-v` of the paper's quintuple), `depth(i)` its depth from the
-    * root, and `plPath`/`posPath` the "/"-joined parse-label / POS-tag
-    * paths from the root down to token `i` (the hierarchy-index node keys).
+  /** Per-token subtree spans of one sentence: `lo(i)`/`hi(i)` are the
+    * first/last token ids of token `i`'s subtree (the `u-v` of the paper's
+    * quintuple) and `depth(i)` its depth from the root.
+    */
+  final case class Spans(depth: Array[Int], lo: Array[Int], hi: Array[Int])
+
+  /** [[Spans]] plus `plPath`/`posPath`, the "/"-joined parse-label /
+    * POS-tag paths from the root down to token `i` (the hierarchy-index
+    * node keys), which only the index build reads.
     */
   final case class Meta(
       depth: Array[Int],
@@ -27,34 +30,43 @@ object TreeOps {
     ch.map(_.sorted)
   }
 
+  /** Compute [[Spans]] for a well-formed tree (see [[validate]]): each
+    * token widens the span of every ancestor on its chain to the root.
+    */
+  def spans(toks: Seq[Tok]): Spans = {
+    val n = toks.size
+    val head = new Array[Int](n)
+    toks.foreach(t => head(t.tid) = t.head)
+    val depth = new Array[Int](n)
+    val lo = Array.range(0, n)
+    val hi = Array.range(0, n)
+    var i = 0
+    while (i < n) {
+      var a = head(i)
+      while (a >= 0) {
+        depth(i) += 1
+        if (i < lo(a)) lo(a) = i
+        if (i > hi(a)) hi(a) = i
+        a = head(a)
+      }
+      i += 1
+    }
+    Spans(depth, lo, hi)
+  }
+
   /** Compute [[Meta]] for a well-formed tree (see [[validate]]). */
   def meta(toks: Seq[Tok]): Meta = {
-    val n = toks.size
-    val ch = childrenOf(toks)
-    val depth = new Array[Int](n)
-    val lo = new Array[Int](n)
-    val hi = new Array[Int](n)
-    val plPath = new Array[String](n)
-    val posPath = new Array[String](n)
-    def rec(i: Int, d: Int, pl: String, pos: String): (Int, Int) = {
-      depth(i) = d
-      val myPl = pl + "/" + toks(i).label
-      val myPos = pos + "/" + toks(i).pos
-      plPath(i) = myPl
-      posPath(i) = myPos
-      var mn = i
-      var mx = i
-      ch(i).foreach { c =>
-        val (a, b) = rec(c, d + 1, myPl, myPos)
-        mn = math.min(mn, a)
-        mx = math.max(mx, b)
+    def paths(key: Tok => String): Array[String] = {
+      val out = new Array[String](toks.size)
+      def path(i: Int): String = {
+        if (out(i) == null) out(i) = (if (toks(i).head < 0) "" else path(toks(i).head)) + "/" + key(toks(i))
+        out(i)
       }
-      lo(i) = mn
-      hi(i) = mx
-      (mn, mx)
+      toks.indices.foreach(path)
+      out
     }
-    rec(rootOf(toks), 0, "", "")
-    Meta(depth, lo, hi, plPath, posPath)
+    val sp = spans(toks)
+    Meta(sp.depth, sp.lo, sp.hi, paths(_.label), paths(_.pos))
   }
 
   /** Structural validation: tids are 0..n-1 in order, exactly one root,

@@ -228,6 +228,18 @@ class KokoEngineSpec extends AnyFunSuite with SparkSpec {
     built.unpersist()
   }
 
+  test("sentences loaded: the candidates without a satisfying clause, the whole corpus on the cafe query") {
+    val wiki = Indexes.build(spark, CorpusGen.corpus(spark, "wiki", 40, 3))
+    val title = KokoEngine.run(spark, Table2Harness.TitleQ, wiki)
+    assert(title.nCandidateSents > 0 && title.nSentsLoaded == title.nCandidateSents)
+    wiki.unpersist()
+    val corpus = CorpusGen.corpus(spark, "cafe", 25, 6)
+    val cafe = Indexes.build(spark, corpus)
+    val r = KokoEngine.run(spark, QualityHarness.cafeQuery(0.6, withDescriptors = true), cafe)
+    assert(r.nSentsLoaded == corpus.count())
+    cafe.unpersist()
+  }
+
   /** One condition on `v`, of any kind, over the corpus's own words,
     * rendered as KOKO text with a weight.
     */

@@ -94,4 +94,10 @@ class NormalizerSpec extends AnyFunSuite {
         |satisfying x (str(x) contains "Cafe" {1}) with threshold 0.5
         |satisfying x (str(x) contains "Nothing" {1}) with threshold 0.5""".stripMargin, "x")
   }
+
+  test("a condition on another variable inside a satisfying clause is rejected") {
+    val src = """extract x:Entity from f if () satisfying x (str(z) contains "Cafe" {1}) with threshold 0.5"""
+    rejects(src, "z")
+    rejects(src, "x")
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.nlp.{ClauseDecomposer, Embeddings, Sent, TreeOps, Vocab}
+import repro.nlp.{ClauseDecomposer, Embeddings, Sent, Vocab}
 
 /** The per-value evidence scorer of §4.4.1, kept in test code as the
   * reference for [[Aggregator]]'s compiled plan: every call re-tokenizes,
@@ -84,8 +84,7 @@ object ReferenceScorer {
           val occs = occurrences(valueWords, sent)
           if (occs.isEmpty) 0.0
           else {
-            val meta = TreeOps.meta(sent.toks)
-            val clauses = ClauseDecomposer.clauses(sent, meta)
+            val clauses = ClauseDecomposer.clauses(sent)
             occs.map { occ =>
               val region: Int => Boolean =
                 if (after) tid => tid >= occ + valueWords.size
