@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.Arrays
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.index.{Indexes, Shard}
 
@@ -11,8 +12,8 @@ import repro.index.{Indexes, Shard}
   *                   satisfying/excluding clauses into an
   *                   [[Aggregator.SatPlan]], before the job;
   *
-  * then, with the query broadcast, one `mapPartitions` task per
-  * document-partitioned [[Shard]] (no shuffle):
+  * then one Spark job with one task per document-partitioned [[Shard]]
+  * (no shuffle), the query shipped inside the task (`QueryTask`):
   *
   *  2. DPLI        — §4.2 posting-list merges ([[Dpli]]), producing the
   *                   shard's candidate sentences;
@@ -21,7 +22,7 @@ import repro.index.{Indexes, Shard}
   *  4. GSP+extract — per-sentence skip plan + extract clause
   *                   ([[SentenceEvaluator.extract]]);
   *  5. Aggregate   — satisfying/excluding per document that has tuples
-  *                   ([[Aggregator.aggregate]] with the broadcast plan)
+  *                   ([[Aggregator.aggregate]] with the compiled plan)
   *                   over its shard-local sentences.
   *
   * [[Timings]] mirror Table 2's breakdown (DESIGN.md §5).
@@ -143,27 +144,42 @@ object KokoEngine {
       cand.length, nLoaded, tuples.size, nDocs, nValues, dpliNs, loadNs, gspNs, extractNs, satNs)
   }
 
+  /** The query's one job: steps 2–5 on each shard of a partition. A named
+    * class, not a lambda, so Spark's closure cleaner has no class file to
+    * parse on every query; the query's parts are its fields and travel in
+    * the stage's task binary, which Spark broadcasts once per stage.
+    */
+  private final class QueryTask(nq: Normalizer.NormQuery, items: Seq[Dpli.Item], plan: Aggregator.SatPlan)
+      extends ((TaskContext, Iterator[Shard]) => Array[ShardOut]) with Serializable {
+    def apply(ctx: TaskContext, shards: Iterator[Shard]): Array[ShardOut] =
+      shards.map(runShard(nq, items, plan, _)).toArray
+  }
+
   def run(
       spark: SparkSession,
       src: String,
       built: Indexes.Built): Result = {
+    val start = System.nanoTime()
+    run(spark, KokoParser.parse(src), built, start)
+  }
+
+  /** [[run]] on a parsed query, such as a generated one that has no text
+    * form; `Timings.normalize` counts from `start`.
+    */
+  private[core] def run(spark: SparkSession, q: Ast.KokoQuery, built: Indexes.Built, start: Long): Result = {
+    val nq = Normalizer.normalize(q)
+    val tNorm = (System.nanoTime() - start) / 1e9
     var t0 = System.nanoTime()
-    val nq = Normalizer.normalize(KokoParser.parse(src))
-    val tNorm = (System.nanoTime() - t0) / 1e9
-    t0 = System.nanoTime()
     val items = Dpli.items(built, nq)
     val tResolve = (System.nanoTime() - t0) / 1e9
     t0 = System.nanoTime()
     val plan = Aggregator.SatPlan(nq)
     val tPlan = (System.nanoTime() - t0) / 1e9
 
-    val query = spark.sparkContext.broadcast((nq, items, plan))
-    val outs =
-      try built.shards.mapPartitions(_.map { sh =>
-        val (nq, items, plan) = query.value
-        runShard(nq, items, plan, sh)
-      }).collect()
-      finally query.destroy()
+    val parts = new Array[Array[ShardOut]](built.shards.getNumPartitions)
+    spark.sparkContext.runJob(built.shards, new QueryTask(nq, items, plan), parts.indices,
+      (i: Int, out: Array[ShardOut]) => parts(i) = out)
+    val outs = parts.flatten
 
     def secs(f: ShardOut => Long): Double = outs.iterator.map(f).sum / 1e9
     def count(f: ShardOut => Long): Long = outs.iterator.map(f).sum

@@ -2,6 +2,9 @@ package repro.core
 
 import java.util.Locale
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.bench.SyntheticQueries
@@ -121,6 +124,31 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
       }
       b.unpersist()
     }
+  }
+
+  test("DPLI is complete on generated queries over corpus kind, seed and size (scalacheck)") {
+    val cases = for {
+      kind <- Gen.oneOf("happy", "wiki", "cafe")
+      seed <- Gen.choose(0L, 10000L)
+      nDocs <- Gen.choose(5L, 120L)
+    } yield (kind, seed, nDocs)
+    val prop = Prop.forAllNoShrink(cases) { case (kind, seed, nDocs) =>
+      val corpus = CorpusGen.corpus(spark, kind, nDocs, seed)
+      val sents = corpus.collect().toSeq
+      val b = Indexes.build(spark, corpus)
+      val queries = SyntheticQueries.treeQueries(sents, 1, seed).map(tq => (tq.name, tq.query)) ++
+        Seq(1, 3, 5).flatMap(n => SyntheticQueries.spanQueries(sents, n, 2, seed).map(sq => (sq.name, sq.q)))
+      try Prop.all(queries.map { case (name, q) =>
+        val nq = Normalizer.normalize(q)
+        val truth = NaiveKoko.matchingSids(nq, sents)
+        val cands = KokoEngine.candidateSids(b, nq).fold(sents.map(_.sid).toSet)(_.collect().map(_.getLong(0)).toSet)
+        (truth.nonEmpty && truth.subsetOf(cands)) :|
+          s"$kind seed $seed, $nDocs docs, $name: dropped ${truth.diff(cands).take(5)}\n$q"
+      }: _*)
+      finally b.unpersist()
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10).withInitialSeed(37L), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 
   test("DPLI is complete: bindings contain every true match (random corpus)") {

@@ -9,7 +9,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.bench.{QualityHarness, Table2Harness}
+import repro.bench.{QualityHarness, SyntheticQueries, Table2Harness}
 import repro.index.Indexes
 import repro.nlp.{CorpusGen, Sent, Templates}
 import scala.util.Random
@@ -302,6 +302,34 @@ class KokoEngineSpec extends AnyFunSuite with SparkSpec {
       finally built.unpersist()
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10).withInitialSeed(29L), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("engine equals naive on generated tree and span queries over 1, 2 and 4 input partitions (scalacheck)") {
+    // Every variable is an output, so rows compare on values, not only on
+    // sentence ids; the queries are drawn from the corpus's own sentences.
+    def withOutputs(q: Ast.KokoQuery): Ast.KokoQuery = q.copy(outputs = q.defs.map(d => Ast.OutVar(d.name, "Str")))
+    val cases = for {
+      kind <- Gen.oneOf("wiki", "happy")
+      seed <- Gen.choose(0L, 10000L)
+      nDocs <- Gen.choose(10L, 60L)
+      parts <- Gen.oneOf(1, 2, 4)
+      sents = (0L until nDocs).flatMap(CorpusGen.docOf(kind, _, seed))
+      tree <- Gen.pick(4, SyntheticQueries.treeQueries(sents, 1, seed).map(tq => (tq.name, tq.query)))
+      spans = Seq(1, 3, 5).flatMap(n => SyntheticQueries.spanQueries(sents, n, 1, seed).map(sq => (sq.name, sq.q)))
+    } yield (kind, seed, nDocs, parts, sents, tree.toSeq ++ spans)
+    val prop = Prop.forAllNoShrink(cases) { case (kind, seed, nDocs, parts, sents, qs) =>
+      val corpus = CorpusGen.corpus(spark, kind, nDocs, seed).repartition(parts)
+      val built = Indexes.build(spark, corpus)
+      try Prop.all(qs.map { case (name, q) =>
+        val naive = NaiveKoko.run(Normalizer.normalize(withOutputs(q)), sents)
+        val engine = KokoEngine.run(spark, withOutputs(q), built, System.nanoTime())
+        (built.shards.getNumPartitions == parts && naive.nonEmpty && canon(engine.rows) == canon(naive)) :|
+          s"$kind seed $seed, $nDocs docs, $parts partitions, $name: engine ${engine.rows.size} rows, naive ${naive.size}\n$q"
+      }: _*)
+      finally built.unpersist()
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(12).withInitialSeed(31L), prop)
     assert(res.passed, Pretty.pretty(res))
   }
 }
