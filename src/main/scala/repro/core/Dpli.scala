@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.index.{HierNode, Indexes, Shard}
+import repro.index.{HierNode, Shard}
 import repro.nlp.CaseFold
 
 /** Decompose Paths and Lookup Indices (§4.2.2, Algorithm 1), over one
@@ -18,17 +18,6 @@ import repro.nlp.CaseFold
   * case-insensitively (as [[PathMatcher]] and [[SentenceEvaluator]] do).
   */
 object Dpli {
-
-  /** A dominant path with its dataguide node ids, matched on the driver;
-    * None for a side whose pattern is all wildcards (no pruning power).
-    */
-  final case class PathLookup(
-      dec: PathDecomposer.Decomposed,
-      plIds: Option[Array[Int]],
-      posIds: Option[Array[Int]])
-
-  def resolve(built: Indexes.Built, dec: PathDecomposer.Decomposed): PathLookup =
-    PathLookup(dec, dataguideIds(built.plNodes, dec.pl), dataguideIds(built.posNodes, dec.pos))
 
   /** Ids of the dataguide nodes whose root path matches a decomposed PL or
     * POS pattern, matched by [[PathMatcher.matchesChain]] on the path's
@@ -113,14 +102,14 @@ object Dpli {
   }
 
   /** Candidate bindings (token ordinals) for one dominant path: lookups
-    * on the PL, POS and word indices joined per Algorithm 1. Falls back to
-    * every token only when the path constrains nothing (a descendant-axis
-    * wildcard).
+    * on the shard's own PL, POS and word indices joined per Algorithm 1.
+    * Falls back to every token only when the path constrains nothing (a
+    * descendant-axis wildcard).
     */
-  def lookup(sh: Shard, path: PathLookup): Array[Int] = {
-    val dec = path.dec
+  def lookup(sh: Shard, dec: PathDecomposer.Decomposed): Array[Int] = {
+    val (plIds, posIds) = (dataguideIds(sh.plNodes, dec.pl), dataguideIds(sh.posNodes, dec.pos))
     // A path absent from an index has no ids, hence no postings (§4.2.2 Discussion).
-    val p = if (path.plIds.isEmpty && path.posIds.isEmpty) None else Some(hierPostings(sh, path.plIds, path.posIds))
+    val p = if (plIds.isEmpty && posIds.isEmpty) None else Some(hierPostings(sh, plIds, posIds))
     val q = lookupWordPath(sh, dec.words)
     def gap = (dec.nSteps - 1) - dec.words.last._1
     (p, q) match {
@@ -141,8 +130,8 @@ object Dpli {
   }
 
   /** A dominant node path or an absolute span-atom path. */
-  final case class PathItem(path: PathLookup) extends Item {
-    def sentences(sh: Shard): Array[Int] = sh.sentencesOf(lookup(sh, path))
+  final case class PathItem(dec: PathDecomposer.Decomposed) extends Item {
+    def sentences(sh: Shard): Array[Int] = sh.sentencesOf(lookup(sh, dec))
   }
 
   /** A span word atom, matched case-insensitively. */
@@ -158,11 +147,11 @@ object Dpli {
   /** The pruning items of a query: dominant node paths, span-atom paths
     * and words, and entity mentions for free entity variables.
     */
-  def items(built: Indexes.Built, nq: Normalizer.NormQuery): Seq[Item] = {
+  def items(nq: Normalizer.NormQuery): Seq[Item] = {
     val nodePaths = nq.nodeDefs.map(d => d.name -> d.path)
     val byName = nodePaths.toMap
     val dominant = PathDecomposer.dominantOf(nodePaths).values.toSet.toSeq.sorted
-    def path(p: Ast.PathExpr) = PathItem(resolve(built, PathDecomposer.decompose(p)))
+    def path(p: Ast.PathExpr) = PathItem(PathDecomposer.decompose(p))
     val fromNodes = dominant.map(n => path(byName(n)))
     val fromAtoms = nq.spanDefs.flatMap(_.atoms).flatMap {
       case Ast.APath(p) if p.isAbsolute => Some(path(p))

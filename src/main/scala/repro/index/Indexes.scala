@@ -20,7 +20,7 @@ final case class TokenRow(
 final case class EntityRow(entity: String, etype: String, doc: Long, sid: Long, lo: Int, hi: Int)
 
 /** A node of a hierarchy index (compressed dataguide, §3). Identified by
-  * its unique root path; `id` is deterministic (rank of the sorted path).
+  * its unique root path; `id` is deterministic ([[Shard.dataguide]]).
   */
 final case class HierNode(id: Int, path: String, label: String, depth: Int)
 
@@ -28,10 +28,10 @@ final case class HierNode(id: Int, path: String, label: String, depth: Int)
   * document into cached [[Shard]]s:
   *
   *  - `shards`   — the only cached data: per shard, the sentences as
-  *    columns and the W / E / case-folded-word posting lists;
-  *  - `plNodes`/`posNodes` — the hierarchy-index dataguides (driver-side;
-  *    merging identical nodes removes >99% of tree nodes, so these are
-  *    tiny by construction — verified in tests);
+  *    columns, its PL/POS dataguides and the W / E / case-folded-word
+  *    posting lists;
+  *  - `plNodes`/`posNodes` — the union of the shards' dataguides (tiny by
+  *    construction — verified in tests), whose ids the W view reports;
   *  - `sentences`, `tokens`, `word` (W(word, x, y, u, v, d, plId, posId))
   *    and `entity` (E(entity, etype, x, u, v)) — uncached views of the
   *    shards, for the baselines, the benches and the tests.
@@ -54,7 +54,8 @@ object Indexes {
 
     lazy val tokens: DataFrame = {
       import spark.implicits._
-      view(_.tokenRows).toDF()
+      val (plIds, posIds) = (plNodes.map(n => n.path -> n.id).toMap, posNodes.map(n => n.path -> n.id).toMap)
+      view(_.tokenRows(plIds, posIds)).toDF()
     }
 
     lazy val word: DataFrame =
@@ -69,24 +70,9 @@ object Indexes {
     def unpersist(): Unit = shards.unpersist()
   }
 
-  private def dataguide(paths: Seq[String]): Seq[HierNode] = {
-    // Merging identical nodes ≡ taking the distinct set of root paths; a
-    // node's children automatically have distinct labels. Ids are ranks in
-    // path order, so they are deterministic across runs.
-    val all = paths.flatMap { p =>
-      // every prefix of a token's path is a node of the index
-      val parts = p.split("/").toList.drop(1)
-      (1 to parts.size).map(k => "/" + parts.take(k).mkString("/"))
-    }.distinct.sorted
-    all.zipWithIndex.map { case (p, i) =>
-      val parts = p.split("/").drop(1)
-      HierNode(i, p, parts.last, parts.length - 1)
-    }
-  }
-
   /** The Closure-Table representation of a dataguide that the paper stores
     * in PostgreSQL: (id, label, depth, aid, alabel, adepth). No lookup reads
-    * it (DPLI matches the driver-side dataguide); it is built for the
+    * it (DPLI matches each shard's own dataguide); it is built for the
     * index-size comparison and its oracle test.
     */
   def closureDf(spark: SparkSession, nodes: Seq[HierNode]): DataFrame = {
@@ -107,33 +93,22 @@ object Indexes {
     try job
     catch { case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] => throw e.getCause }
 
-  /** Build all indices. Every document's sentences go to one partition
-    * (keeping the input's partition count), which is built once into a
-    * cached [[Shard]]. The shards hold every sentence, so the input is read
-    * once and its cache, if the caller made one, is released: the shards
-    * are the only copy of the corpus in Spark storage. Throws
-    * `IllegalArgumentException` on input the shards cannot hold (see
-    * [[Shard.prepare]]).
+  /** Build all indices in one job. Every document's sentences go to one
+    * partition (keeping the input's partition count), which is built once
+    * into a cached [[Shard]]; collecting the shards' dataguide paths fills
+    * the cache. The shards hold every sentence, so the input's cache, if
+    * the caller made one, is released. Throws `IllegalArgumentException` on
+    * input the shards cannot hold (see [[Shard.build]]).
     */
   def build(spark: SparkSession, sents: Dataset[Sent]): Built = {
     import spark.implicits._
-    val parted = sents.repartition(math.max(1, sents.rdd.getNumPartitions), $"doc").rdd
-
-    val paths = inputChecked(parted.mapPartitions { part =>
-      val metas = Shard.prepare(part).map(_._2)
-      Iterator((metas.flatMap(_.plPath).toSet, metas.flatMap(_.posPath).toSet))
-    }.collect())
-    val plNodes = dataguide(paths.flatMap(_._1).distinct.toSeq)
-    val posNodes = dataguide(paths.flatMap(_._2).distinct.toSeq)
-    val bPl = spark.sparkContext.broadcast(plNodes.map(n => n.path -> n.id).toMap)
-    val bPos = spark.sparkContext.broadcast(posNodes.map(n => n.path -> n.id).toMap)
-
-    val shards = parted
-      .mapPartitions(part => Iterator(Shard.build(Shard.prepare(part), bPl.value, bPos.value)))
+    val shards = sents.repartition(math.max(1, sents.rdd.getNumPartitions), $"doc").rdd
+      .mapPartitions(part => Iterator(Shard.build(part)))
       .setName("koko-shards")
       .cache()
-    inputChecked(shards.count())
+    val paths = inputChecked(shards.map(sh => (sh.plNodes.map(_.path), sh.posNodes.map(_.path))).collect())
     sents.unpersist(blocking = true)
-    new Built(spark, shards, plNodes, posNodes)
+    new Built(spark, shards, Shard.dataguide(paths.iterator.flatMap(_._1)),
+      Shard.dataguide(paths.iterator.flatMap(_._2)))
   }
 }

@@ -61,7 +61,8 @@ object Postings {
   * so every posting list below is sorted on `(sid, tid)` and Algorithm 1's
   * joins are merges ([[repro.core.Dpli]]). Strings (`word`, `pos`, `label`,
   * `etype`) are ids into the shard's sorted dictionary `dict`; `plId` and
-  * `posId` are global dataguide node ids.
+  * `posId` are ids of the shard's own dataguides `plNodes`/`posNodes`
+  * ([[Shard.dataguide]]): a shard is a complete multi-index of its documents.
   *
   * Postings: W by word, by `plId` and by `posId` (token ordinals); E by
   * entity type (the ordinal of each mention's first token); and a
@@ -83,6 +84,8 @@ final class Shard private (
     val depth: Array[Int],
     val plId: Array[Int],
     val posId: Array[Int],
+    val plNodes: IndexedSeq[HierNode],
+    val posNodes: IndexedSeq[HierNode],
     byWord: Postings,
     val byPl: Postings,
     val byPos: Postings,
@@ -132,13 +135,13 @@ final class Shard private (
   def tokensOf(sents: Array[Int]): Array[Int] =
     sents.flatMap(s => off(s) until off(s + 1))
 
-  /** The sentences of document `d`, by the `sid` layout `d * 64 + k`. */
+  /** The sentences of document `d`, between its first and last `sid` in the layout `d * 64 + k`. */
   def sentencesOfDoc(d: Long): Range = {
-    def firstAtLeast(x: Long): Int = {
+    def at(x: Long, absent: Int => Int): Int = {
       val i = Arrays.binarySearch(sid, x)
-      if (i >= 0) i else -i - 1
+      if (i >= 0) i else absent(-i - 1)
     }
-    firstAtLeast(CorpusGen.gsid(d, 0)) until firstAtLeast(CorpusGen.gsid(d + 1, 0))
+    at(CorpusGen.gsid(d, 0), identity) to at(CorpusGen.gsid(d, CorpusGen.MaxSentsPerDoc - 1), _ - 1)
   }
 
   /** LoadArticle: sentence `s` as the evaluator reads it. */
@@ -152,10 +155,14 @@ final class Shard private (
 
   def sents: Iterator[Sent] = Iterator.range(0, nSents).map(sent)
 
-  def tokenRows: Iterator[TokenRow] = Iterator.range(0, nSents).flatMap { s =>
-    Iterator.range(off(s), off(s + 1)).map { o =>
-      TokenRow(doc(s), sid(s), o - off(s), dict(word(o)), dict(pos(o)), dict(label(o)), head(o),
-        dict(etype(o)), eid(o), lo(o), hi(o), depth(o), plId(o), posId(o))
+  /** The W rows, `plId`/`posId` mapped by root path to the ids `plIds`/`posIds`. */
+  def tokenRows(plIds: Map[String, Int], posIds: Map[String, Int]): Iterator[TokenRow] = {
+    val (pl, ps) = (plNodes.map(n => plIds(n.path)), posNodes.map(n => posIds(n.path)))
+    Iterator.range(0, nSents).flatMap { s =>
+      Iterator.range(off(s), off(s + 1)).map { o =>
+        TokenRow(doc(s), sid(s), o - off(s), dict(word(o)), dict(pos(o)), dict(label(o)), head(o),
+          dict(etype(o)), eid(o), lo(o), hi(o), depth(o), pl(plId(o)), ps(posId(o)))
+      }
     }
   }
 
@@ -170,6 +177,16 @@ final class Shard private (
 
 object Shard {
 
+  /** The hierarchy index (compressed dataguide, §3) of some tokens' root
+    * paths: their distinct paths (a prefix of one is an ancestor's), with
+    * ids their ranks in path order, so deterministic across runs.
+    */
+  def dataguide(paths: IterableOnce[String]): IndexedSeq[HierNode] =
+    paths.iterator.distinct.toIndexedSeq.sorted.zipWithIndex.map { case (p, i) =>
+      val parts = p.split('/')
+      HierNode(i, p, parts.last, parts.length - 2)
+    }
+
   /** One partition's sentences in `sid` order, each with its tree metadata.
     * Fails loudly on input the layout cannot hold: a `sid` outside
     * `[doc * 64, doc * 64 + 63]` (a document with more than
@@ -177,13 +194,13 @@ object Shard {
     * malformed dependency tree. All of a document's sentences must be in
     * the partition.
     */
-  def prepare(part: Iterator[Sent]): Array[(Sent, TreeOps.Meta)] = {
+  private def prepare(part: Iterator[Sent]): Array[(Sent, TreeOps.Meta)] = {
     val sents = part.toArray.sortBy(_.sid)
     sents.foreach { s =>
       if (Math.floorDiv(s.sid, CorpusGen.MaxSentsPerDoc.toLong) != s.doc)
         throw new IllegalArgumentException(
           s"document ${s.doc}: sentence id ${s.sid} is outside [${CorpusGen.gsid(s.doc, 0)}, " +
-            s"${CorpusGen.gsid(s.doc + 1, 0) - 1}]; a document holds at most " +
+            s"${CorpusGen.gsid(s.doc, CorpusGen.MaxSentsPerDoc - 1)}]; a document holds at most " +
             s"${CorpusGen.MaxSentsPerDoc} sentences")
     }
     sents.sliding(2).foreach {
@@ -198,10 +215,15 @@ object Shard {
     }
   }
 
-  /** Builds a shard from [[prepare]]'s output; `plIds`/`posIds` map each
-    * root path to its global dataguide node id.
+  /** The shard of one partition, which holds all of its documents' sentences. Throws
+    * `IllegalArgumentException` on input the layout cannot hold (see [[prepare]]).
     */
-  def build(sents: Array[(Sent, TreeOps.Meta)], plIds: Map[String, Int], posIds: Map[String, Int]): Shard = {
+  def build(part: Iterator[Sent]): Shard = {
+    val sents = prepare(part)
+    val plNodes = dataguide(sents.iterator.flatMap(_._2.plPath))
+    val posNodes = dataguide(sents.iterator.flatMap(_._2.posPath))
+    val plIds = plNodes.map(n => n.path -> n.id).toMap
+    val posIds = posNodes.map(n => n.path -> n.id).toMap
     val off = sents.scanLeft(0)(_ + _._1.t)
     val n = off.last
     val strings = mutable.HashSet[String]()
@@ -229,10 +251,10 @@ object Shard {
     val ords = Array.range(0, n)
     val starts = mentionStarts.result()
     new Shard(dict, sents.map(_._1.sid), sents.map(_._1.doc), off,
-      word, pos, label, etype, head, eid, lo, hi, depth, plId, posId,
+      word, pos, label, etype, head, eid, lo, hi, depth, plId, posId, plNodes, posNodes,
       byWord = Postings.group(dict.length, word, ords),
-      byPl = Postings.group(plIds.size, plId, ords),
-      byPos = Postings.group(posIds.size, posId, ords),
+      byPl = Postings.group(plNodes.size, plId, ords),
+      byPos = Postings.group(posNodes.size, posId, ords),
       byEtype = Postings.group(dict.length, starts.map(etype), starts),
       byLower = Postings.group(dict.length, lowerKeys.result(), lowerSents.result()))
   }

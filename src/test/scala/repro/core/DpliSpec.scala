@@ -9,7 +9,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.bench.SyntheticQueries
 import repro.index.{Indexes, Shard}
-import repro.nlp.{CaseFold, CorpusGen, TreeOps}
+import repro.nlp.{CaseFold, CorpusGen}
 
 class DpliSpec extends AnyFunSuite with SparkSpec {
   import Fixtures._
@@ -35,10 +35,8 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
       }).toDF("sid", "tid", "lo", "hi", "depth")
     }
 
-    def lookup(b: Indexes.Built, dec: PathDecomposer.Decomposed): org.apache.spark.sql.DataFrame = {
-      val p = repro.core.Dpli.resolve(b, dec)
-      postings(b)(repro.core.Dpli.lookup(_, p))
-    }
+    def lookup(b: Indexes.Built, dec: PathDecomposer.Decomposed): org.apache.spark.sql.DataFrame =
+      postings(b)(repro.core.Dpli.lookup(_, dec))
 
     def lookupWordPath(b: Indexes.Built, words: Seq[(Int, String)]): Option[org.apache.spark.sql.DataFrame] =
       if (words.isEmpty) None else Some(postings(b)(repro.core.Dpli.lookupWordPath(_, words).get))
@@ -101,10 +99,12 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("resolve gives an all-wildcard side no dataguide ids: None, no pruning power") {
-    val plOnly = repro.core.Dpli.resolve(built, PathDecomposer.decompose(path("/root/dobj/det")))
-    assert(plOnly.plIds.exists(_.nonEmpty) && plOnly.posIds.isEmpty)
-    val none = repro.core.Dpli.resolve(built, PathDecomposer.decompose(path("//*/*")))
-    assert(none.plIds.isEmpty && none.posIds.isEmpty)
+    def ids(dec: PathDecomposer.Decomposed) =
+      (repro.core.Dpli.dataguideIds(built.plNodes, dec.pl), repro.core.Dpli.dataguideIds(built.posNodes, dec.pos))
+    val (plOnlyPl, plOnlyPos) = ids(PathDecomposer.decompose(path("/root/dobj/det")))
+    assert(plOnlyPl.exists(_.nonEmpty) && plOnlyPos.isEmpty)
+    val (nonePl, nonePos) = ids(PathDecomposer.decompose(path("//*/*")))
+    assert(nonePl.isEmpty && nonePos.isEmpty)
   }
 
   test("DPLI is complete on generated queries: candidateSids ⊇ NaiveKoko.matchingSids") {
@@ -131,21 +131,28 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
       kind <- Gen.oneOf("happy", "wiki", "cafe")
       seed <- Gen.choose(0L, 10000L)
       nDocs <- Gen.choose(5L, 120L)
-    } yield (kind, seed, nDocs)
-    val prop = Prop.forAllNoShrink(cases) { case (kind, seed, nDocs) =>
+      nParts <- Gen.choose(1, 4)
+    } yield (kind, seed, nDocs, nParts)
+    // Each shard matches paths against its own dataguides; spreading the
+    // documents over more shards must not change any candidate.
+    val prop = Prop.forAllNoShrink(cases) { case (kind, seed, nDocs, nParts) =>
       val corpus = CorpusGen.corpus(spark, kind, nDocs, seed)
       val sents = corpus.collect().toSeq
-      val b = Indexes.build(spark, corpus)
+      val one = Indexes.build(spark, corpus.repartition(1))
+      val b = Indexes.build(spark, corpus.repartition(nParts))
       val queries = SyntheticQueries.treeQueries(sents, 1, seed).map(tq => (tq.name, tq.query)) ++
         Seq(1, 3, 5).flatMap(n => SyntheticQueries.spanQueries(sents, n, 2, seed).map(sq => (sq.name, sq.q)))
       try Prop.all(queries.map { case (name, q) =>
         val nq = Normalizer.normalize(q)
         val truth = NaiveKoko.matchingSids(nq, sents)
-        val cands = KokoEngine.candidateSids(b, nq).fold(sents.map(_.sid).toSet)(_.collect().map(_.getLong(0)).toSet)
-        (truth.nonEmpty && truth.subsetOf(cands)) :|
-          s"$kind seed $seed, $nDocs docs, $name: dropped ${truth.diff(cands).take(5)}\n$q"
+        def cands(built: Indexes.Built) =
+          KokoEngine.candidateSids(built, nq).fold(sents.map(_.sid).toSet)(_.collect().map(_.getLong(0)).toSet)
+        val (got, onOne) = (cands(b), cands(one))
+        (truth.nonEmpty && truth.subsetOf(got) && got == onOne) :|
+          s"$kind seed $seed, $nDocs docs, $nParts partitions, $name: dropped ${truth.diff(got).take(5)}, " +
+            s"${got.diff(onOne).size} more and ${onOne.diff(got).size} fewer than on 1 partition\n$q"
       }: _*)
-      finally b.unpersist()
+      finally { b.unpersist(); one.unpersist() }
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10).withInitialSeed(37L), prop)
     assert(res.passed, Pretty.pretty(res))
@@ -200,14 +207,10 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
     val saved = Locale.getDefault
     try {
       Locale.setDefault(Locale.forLanguageTag("tr"))
-      val prepared = Shard.prepare(sents.iterator)
-      def ids(f: TreeOps.Meta => Array[String]) = prepared.flatMap(p => f(p._2)).distinct.zipWithIndex.toMap
-      val sh = Shard.build(prepared, ids(_.plPath), ids(_.posPath))
-      // A query without paths reads no dataguide, so DPLI needs no Spark index.
-      val noDataguide = new Indexes.Built(null, null, Nil, Nil)
+      val sh = Shard.build(sents.iterator)
       Seq("i", "I").foreach { w =>
         val nq = Normalizer.normalize(KokoParser.parse(s"""extract x:Str from f if ( /ROOT:{ x = "$w" } )"""))
-        val items = repro.core.Dpli.items(noDataguide, nq)
+        val items = repro.core.Dpli.items(nq)
         assert(items.size == 1, items)
         val viaIndex = items.head.sentences(sh).map(sh.sid(_)).toSet
         assert(viaIndex == NaiveKoko.matchingSids(nq, sents), w)

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
-import org.apache.spark.TestListenerBus
+import org.apache.spark.{SparkException, TaskContext, TestListenerBus}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.Dataset
 import org.scalacheck.{Gen, Prop, Test}
@@ -113,6 +113,14 @@ class KokoEngineSpec extends AnyFunSuite with SparkSpec {
       assert(shuffleBytes == 0, s"$kind: $shuffleBytes shuffle bytes")
       built.unpersist()
     }
+  }
+
+  test("a named task function that cannot be serialized fails as Task not serializable, naming its field") {
+    val sc = spark.sparkContext
+    val e = intercept[SparkException](sc.runJob(sc.parallelize(1 to 2, 2),
+      new KokoEngineSpec.LockedTask(new Object), Seq(0, 1), (_: Int, _: Int) => ()))
+    assert(e.getMessage.contains("Task not serializable"), e.getMessage)
+    assert(e.getMessage.contains("name: lock"), e.getMessage)
   }
 
   test("DateOfBirth results bind person and date from planted facts") {
@@ -331,5 +339,15 @@ class KokoEngineSpec extends AnyFunSuite with SparkSpec {
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(12).withInitialSeed(31L), prop)
     assert(res.passed, Pretty.pretty(res))
+  }
+}
+
+object KokoEngineSpec {
+
+  /** A task function, like the engine's `QueryTask`, with a field that
+    * cannot be serialized.
+    */
+  final class LockedTask(val lock: Object) extends ((TaskContext, Iterator[Int]) => Int) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[Int]): Int = it.size
   }
 }

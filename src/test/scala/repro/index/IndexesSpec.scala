@@ -1,9 +1,12 @@
 package repro.index
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
-import repro.nlp.{CorpusGen, Sent}
+import repro.nlp.{CorpusGen, Sent, TreeOps}
 
 class IndexesSpec extends AnyFunSuite with SparkSpec {
   import Fixtures._
@@ -144,6 +147,41 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
     val maxPos = built.posNodes.size
     val bad = built.tokens.filter(col("plId") >= maxPl || col("posId") >= maxPos || col("plId") < 0).count()
     assert(bad == 0)
+  }
+
+  test("the W view reports global dataguide ids on a corpus spread over 3 input partitions") {
+    val b = Indexes.build(spark, CorpusGen.corpus(spark, "wiki", 60, seed = 12).repartition(3))
+    assert(b.shards.getNumPartitions == 3)
+    val plIds = b.plNodes.map(n => n.path -> n.id).toMap
+    val posIds = b.posNodes.map(n => n.path -> n.id).toMap
+    val want = b.sentences.collect().flatMap { s =>
+      val m = TreeOps.meta(s.toks)
+      s.toks.map(t => (s.sid, t.tid) -> (plIds(m.plPath(t.tid)), posIds(m.posPath(t.tid))))
+    }.toMap
+    val got = b.tokens.select("sid", "tid", "plId", "posId").collect()
+      .map(r => (r.getLong(0), r.getInt(1)) -> (r.getInt(2), r.getInt(3)))
+    assert(got.length == want.size && got.toMap == want)
+    b.unpersist()
+  }
+
+  test("build reads its input once: at most the shuffle-map job and one job that builds the shards") {
+    val sc = spark.sparkContext
+    val corpus = CorpusGen.corpus(spark, "wiki", 40, seed = 13)
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    val b =
+      try Indexes.build(spark, corpus)
+      finally {
+        TestListenerBus.drain(sc)
+        sc.removeSparkListener(listener)
+      }
+    assert(jobs.get <= 2, s"${jobs.get} jobs")
+    assert(b.sentences.count() == corpus.count())
+    b.unpersist()
   }
 
   test("build rejects a document of more than 64 sentences and duplicate sentence ids, naming the document") {
