@@ -319,6 +319,7 @@ object KokoParser {
           case Some(t) if isKw(t, "in") =>
             pos += 1; expectKw("dict"); expectSym("(")
             val d = str(); expectSym(")")
+            if (!Vocab.Dicts.contains(d)) throw ParseError(s"unknown dictionary \"$d\"")
             CDict(v, d, parseWeight())
           case t => throw ParseError(s"unknown str(...) condition at $t")
         }

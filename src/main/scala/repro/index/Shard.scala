@@ -59,10 +59,11 @@ object Postings {
   * A token is addressed by its *ordinal*: `off(s) + tid` for the token
   * `tid` of the shard's `s`-th sentence. Ordinals ascend with `(sid, tid)`,
   * so every posting list below is sorted on `(sid, tid)` and Algorithm 1's
-  * joins are merges ([[repro.core.Dpli]]). Strings (`word`, `pos`, `label`,
-  * `etype`) are ids into the shard's sorted dictionary `dict`; `plId` and
-  * `posId` are ids of the shard's own dataguides `plNodes`/`posNodes`
-  * ([[Shard.dataguide]]): a shard is a complete multi-index of its documents.
+  * joins are merges ([[repro.core.Dpli]]). Strings (`word`, `etype`) are
+  * ids into the shard's sorted dictionary `dict`. A token's parse label, POS
+  * tag and depth are those of its nodes `plId`/`posId` in the shard's own
+  * dataguides `plNodes`/`posNodes` ([[Shard.dataguide]]): a shard is a
+  * complete multi-index of its documents.
   *
   * Postings: W by word, by `plId` and by `posId` (token ordinals); E by
   * entity type (the ordinal of each mention's first token); and a
@@ -71,17 +72,13 @@ object Postings {
 final class Shard private (
     dict: Array[String],
     val sid: Array[Long],
-    val doc: Array[Long],
     val off: Array[Int],
     word: Array[Int],
-    pos: Array[Int],
-    label: Array[Int],
     etype: Array[Int],
     val head: Array[Int],
     val eid: Array[Int],
     val lo: Array[Int],
     val hi: Array[Int],
-    val depth: Array[Int],
     val plId: Array[Int],
     val posId: Array[Int],
     val plNodes: IndexedSeq[HierNode],
@@ -94,6 +91,12 @@ final class Shard private (
 
   def nSents: Int = sid.length
   def nTokens: Int = off(nSents)
+
+  /** The document of sentence `s`, `sid / 64` ([[Shard.build]] checks the layout). */
+  def doc(s: Int): Long = Math.floorDiv(sid(s), CorpusGen.MaxSentsPerDoc.toLong)
+
+  /** The depth of token ordinal `o` below its sentence's root. */
+  def depth(o: Int): Int = plNodes(plId(o)).depth
 
   /** Dictionary id of `s`, or -1 if no token of the shard uses it. */
   def idOf(s: String): Int = math.max(-1, Arrays.binarySearch(dict.asInstanceOf[Array[AnyRef]], s))
@@ -149,7 +152,7 @@ final class Shard private (
     val base = off(s)
     Sent(doc(s), sid(s), ArraySeq.unsafeWrapArray(Array.tabulate(off(s + 1) - base) { t =>
       val o = base + t
-      Tok(t, dict(word(o)), dict(pos(o)), dict(label(o)), head(o), dict(etype(o)), eid(o))
+      Tok(t, dict(word(o)), posNodes(posId(o)).label, plNodes(plId(o)).label, head(o), dict(etype(o)), eid(o))
     }))
   }
 
@@ -160,8 +163,8 @@ final class Shard private (
     val (pl, ps) = (plNodes.map(n => plIds(n.path)), posNodes.map(n => posIds(n.path)))
     Iterator.range(0, nSents).flatMap { s =>
       Iterator.range(off(s), off(s + 1)).map { o =>
-        TokenRow(doc(s), sid(s), o - off(s), dict(word(o)), dict(pos(o)), dict(label(o)), head(o),
-          dict(etype(o)), eid(o), lo(o), hi(o), depth(o), pl(plId(o)), ps(posId(o)))
+        TokenRow(doc(s), sid(s), o - off(s), dict(word(o)), posNodes(posId(o)).label, plNodes(plId(o)).label,
+          head(o), dict(etype(o)), eid(o), lo(o), hi(o), depth(o), pl(plId(o)), ps(posId(o)))
       }
     }
   }
@@ -227,22 +230,21 @@ object Shard {
     val off = sents.scanLeft(0)(_ + _._1.t)
     val n = off.last
     val strings = mutable.HashSet[String]()
-    sents.foreach(_._1.toks.foreach(t => strings ++= Seq(t.word, CaseFold(t.word), t.pos, t.label, t.etype)))
+    sents.foreach(_._1.toks.foreach(t => strings ++= Seq(t.word, CaseFold(t.word), t.etype)))
     val dict = strings.toArray.sorted
     val id = dict.zipWithIndex.toMap
     def col() = new Array[Int](n)
-    val (word, lower, pos, label, etype) = (col(), col(), col(), col(), col())
-    val (head, eid, lo, hi, depth, plId, posId) = (col(), col(), col(), col(), col(), col(), col())
+    val (word, lower, etype, head, eid) = (col(), col(), col(), col(), col())
+    val (lo, hi, plId, posId) = (col(), col(), col(), col())
     val mentionStarts = Array.newBuilder[Int]
     val (lowerKeys, lowerSents) = (Array.newBuilder[Int], Array.newBuilder[Int])
     sents.indices.foreach { s =>
       val (sent, m) = sents(s)
       sent.toks.foreach { t =>
         val o = off(s) + t.tid
-        word(o) = id(t.word); lower(o) = id(CaseFold(t.word))
-        pos(o) = id(t.pos); label(o) = id(t.label); etype(o) = id(t.etype)
+        word(o) = id(t.word); lower(o) = id(CaseFold(t.word)); etype(o) = id(t.etype)
         head(o) = t.head; eid(o) = t.eid
-        lo(o) = m.lo(t.tid); hi(o) = m.hi(t.tid); depth(o) = m.depth(t.tid)
+        lo(o) = m.lo(t.tid); hi(o) = m.hi(t.tid)
         plId(o) = plIds(m.plPath(t.tid)); posId(o) = posIds(m.posPath(t.tid))
       }
       TreeOps.mentionRanges(sent.t, t => eid(off(s) + t)).foreach { case (first, _) => mentionStarts += off(s) + first }
@@ -250,8 +252,7 @@ object Shard {
     }
     val ords = Array.range(0, n)
     val starts = mentionStarts.result()
-    new Shard(dict, sents.map(_._1.sid), sents.map(_._1.doc), off,
-      word, pos, label, etype, head, eid, lo, hi, depth, plId, posId, plNodes, posNodes,
+    new Shard(dict, sents.map(_._1.sid), off, word, etype, head, eid, lo, hi, plId, posId, plNodes, posNodes,
       byWord = Postings.group(dict.length, word, ords),
       byPl = Postings.group(plNodes.size, plId, ords),
       byPos = Postings.group(posNodes.size, posId, ords),

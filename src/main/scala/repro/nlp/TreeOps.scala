@@ -69,15 +69,18 @@ object TreeOps {
     Meta(sp.depth, sp.lo, sp.hi, paths(_.label), paths(_.pos))
   }
 
-  /** Structural validation: tids are 0..n-1 in order, exactly one root,
-    * heads in range, every token reachable from the root (no cycles), and
-    * every entity mention one contiguous run of tokens with one `etype`.
+  /** Structural validation: tids are 0..n-1 in order, POS tags and parse
+    * labels non-empty and without "/" (the root paths' separator), exactly
+    * one root, heads in range, every token reachable from the root (no
+    * cycles), and every entity mention one contiguous run with one `etype`.
     */
   def validate(toks: Seq[Tok]): Either[String, Unit] = {
     val n = toks.size
     if (n == 0) return Left("empty sentence")
     toks.zipWithIndex.foreach { case (t, i) =>
       if (t.tid != i) return Left(s"tid mismatch at $i: ${t.tid}")
+      if (Seq(t.pos, t.label).exists(l => l.isEmpty || l.contains('/')))
+        return Left(s"""POS tag "${t.pos}" or parse label "${t.label}" at $i is empty or holds '/'""")
       if (t.head >= n) return Left(s"head out of range at $i: ${t.head}")
       if (t.head == i) return Left(s"self-loop at $i")
     }

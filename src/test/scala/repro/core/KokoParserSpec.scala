@@ -202,6 +202,10 @@ class KokoParserSpec extends AnyFunSuite {
     rejects("""extract x:Entity from f if () satisfying x (str(x) matches "[")""", "\"[\"")
   }
 
+  test("an unknown dictionary is a ParseError naming it") {
+    rejects(thresholdQ("0.5") + """ excluding (str(x) in dict("Locations"))""", "\"Locations\"")
+  }
+
   /** Keywords, names, labels, symbols, quoted strings and numbers of the
     * grammar, well-formed or not.
     */

@@ -206,6 +206,12 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
     val h = a.toks(i).head
     val cycle = a.copy(toks = a.toks.updated(h, a.toks(h).copy(head = i)))
     assert(rejected(cycle).startsWith("sentence 1 (document 0): malformed tree: unreachable tokens"))
+    // a POS tag or parse label the dataguide's "/"-joined root paths cannot hold
+    val t = f.toks(3)
+    Seq(t.copy(label = "d/obj"), t.copy(label = ""), t.copy(pos = "N/A"), t.copy(pos = "")).foreach { bad =>
+      val msg = rejected(f.copy(toks = f.toks.updated(3, bad)))
+      assert(msg.startsWith("sentence 0 (document 0): malformed tree: POS tag") && msg.contains("at 3"), msg)
+    }
   }
 
   test("build rejects an entity whose tokens are not one run, naming the sentence") {

@@ -104,6 +104,9 @@ class TreeOpsSpec extends AnyFunSuite {
     val c1 = Tok(1, "b", "noun", "x", 2, "", -1)
     val c2 = Tok(2, "c", "noun", "x", 1, "", -1)
     assert(TreeOps.validate(Seq(c0, c1, c2)).isLeft) // unreachable cycle
+    Seq(t1.copy(label = "d/obj"), t1.copy(label = ""), t1.copy(pos = "N/A"), t1.copy(pos = "")).foreach { t =>
+      assert(TreeOps.validate(Seq(t0, t)).isLeft, t) // empty or holding the root paths' "/"
+    }
   }
 
   test("entityMentions: fig1 has chocolate-ice-cream and pie mentions") {
