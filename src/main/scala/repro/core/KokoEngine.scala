@@ -122,7 +122,8 @@ object KokoEngine {
     var nValues = 0L
     val rows =
       if (plan.isEmpty) tuples.map(c => Aggregator.OutRow(c.doc, c.sid, c.vals, Map.empty))
-      else
+      else {
+        val lex = new Aggregator.Lexicon(plan)
         tuples.groupBy(_.doc).toSeq.flatMap { case (d, ts) =>
           lap()
           // The candidates are loaded already; load only the rest.
@@ -131,12 +132,13 @@ object KokoEngine {
             if (k >= 0) loaded(k) else { nLoaded += 1; sh.sent(s) }
           }
           loadNs += lap()
-          val out = Aggregator.aggregate(plan, ts, docSents)
+          val out = Aggregator.aggregate(lex, ts, docSents)
           satNs += lap()
           nDocs += 1
           nValues += out.nValues
           out.rows
         }
+      }
     val out = rows.toArray
     ShardOut(out.map(_.doc), out.map(_.sid),
       nq.neededVars.map(v => out.map(_.vals.getOrElse(v, null))).toArray,

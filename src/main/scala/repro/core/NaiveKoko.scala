@@ -6,8 +6,9 @@ import repro.nlp.Sent
   *
   * Runs the shared evaluation core ([[SentenceEvaluator.extract]], then
   * [[Aggregator.aggregate]] per document, with the query's
-  * [[Aggregator.SatPlan]] compiled once per run) over an in-memory corpus
-  * with no index pruning. It is (a) the correctness oracle for [[KokoEngine]]'s
+  * [[Aggregator.SatPlan]] compiled once per run and one
+  * [[Aggregator.Lexicon]]) over an in-memory corpus with no index
+  * pruning. It is (a) the correctness oracle for [[KokoEngine]]'s
   * DPLI pruning and Spark plan in the test suite, and (b) the ground truth
   * for the index *effectiveness* metric (§6.2.2): the set of sentences
   * that truly contain bindings for all variables of a query.
@@ -24,10 +25,10 @@ object NaiveKoko {
 
   /** Full evaluation (extract + satisfying + excluding), document by document. */
   def run(nq: NormQuery, sents: Seq[Sent]): Seq[OutRow] = {
-    val plan = Aggregator.SatPlan(nq)
+    val lex = new Aggregator.Lexicon(Aggregator.SatPlan(nq))
     sents.groupBy(_.doc).toSeq.sortBy(_._1).flatMap { case (_, ds) =>
       val docSents = ds.sortBy(_.sid)
-      Aggregator.aggregate(plan, docSents.flatMap(SentenceEvaluator.extract(nq, _)), docSents).rows
+      Aggregator.aggregate(lex, docSents.flatMap(SentenceEvaluator.extract(nq, _)), docSents).rows
     }
   }
 

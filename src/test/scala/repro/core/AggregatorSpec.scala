@@ -12,6 +12,7 @@ import scala.util.Random
 class AggregatorSpec extends AnyFunSuite {
   import Ast._
   import Fixtures._
+  import Templates.T
 
   private def mkSent(doc: Long, sid: Long, ts: Seq[Templates.T]): Sent =
     Sent(doc, sid, Templates.mk(ts))
@@ -278,5 +279,99 @@ class AggregatorSpec extends AnyFunSuite {
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(23L), prop)
     assert(res.passed, Pretty.pretty(res))
+  }
+
+  // ------------------------------------------- sentence masks and word ids
+
+  private val farName = Seq(T("Anna", "propn", "nsubj", 1, "Person"), T("ate", "verb", "root", -1),
+    T("pie", "noun", "dobj", 1), T(".", "punct", "punct", 1))
+
+  /** "Blue Bottle , a cafe , serves coffee ." */
+  private val cafeLine = Seq(T("Blue", "propn", "nn", 1, "Entity"), T("Bottle", "propn", "nsubj", 6, "Entity"),
+    T(",", "punct", "punct", 1), T("a", "det", "det", 4), T("cafe", "noun", "appos", 1),
+    T(",", "punct", "punct", 1), T("serves", "verb", "root", -1), T("coffee", "noun", "dobj", 6),
+    T(".", "punct", "punct", 6))
+
+  /** Document 7 with `n` sentences, `cafeLine` last and the others `farName`. */
+  private def docOfSize(n: Int): Seq[Sent] =
+    (0 until n).map(k => mkSent(7, CorpusGen.gsid(7, k), if (k == n - 1) cafeLine else farName))
+
+  test("a document of 64 sentences scores its last sentence, the mask's sign bit, like the reference") {
+    val doc = docOfSize(CorpusGen.MaxSentsPerDoc)
+    val conds = Seq(CAdjacent("x", ", a cafe", before = false, 0.5), CDescriptor("x", Seq("serves", "coffee"),
+      after = true, 0.25), CDescriptor("x", Seq("sells", "espresso"), after = true, 0.125), CNear("x", "coffee", 0.5))
+    val sat = Satisfying("x", conds, 0.0)
+    conds.foreach { c =>
+      val got = Aggregator.condScore(c, "Blue Bottle", doc)
+      assert(got > 0 && bits(got) == bits(ReferenceScorer.condScore(c, "Blue Bottle", doc)), c)
+    }
+    val rows = Aggregator.aggregate(Aggregator.SatPlan(Seq(sat), Nil),
+      Seq(SentenceEvaluator.Cand(7, doc.last.sid, Map("x" -> "Blue Bottle"))), doc).rows
+    assert(rows.map(r => bits(r.scores("x"))) == Seq(bits(ReferenceScorer.score(sat, "Blue Bottle", doc))))
+  }
+
+  test("a document of more than 64 sentences fails loudly, naming the document") {
+    val doc = docOfSize(CorpusGen.MaxSentsPerDoc + 1)
+    val sat = Satisfying("x", Seq(CAdjacent("x", ", a cafe", before = false, 1)), 0.0)
+    val calls: Seq[() => Any] = Seq(
+      () => Aggregator.condScore(sat.conds.head, "Blue Bottle", doc),
+      () => Aggregator.score(sat, "Blue Bottle", doc),
+      () => Aggregator.aggregate(Aggregator.SatPlan(Seq(sat), Nil),
+        Seq(SentenceEvaluator.Cand(7, doc.last.sid, Map("x" -> "Blue Bottle"))), doc))
+    calls.foreach { f =>
+      val e = intercept[IllegalArgumentException](f())
+      assert(e.getMessage.contains("document 7") && e.getMessage.contains("65 sentences"), e.getMessage)
+    }
+  }
+
+  test("one lexicon scores documents bit-identically in any order, though it numbers their words differently (scalacheck)") {
+    var renumbered = 0
+    val cases = for {
+      kind <- Gen.oneOf("happy", "wiki", "cafe")
+      seed <- Gen.choose(0L, 1000L)
+      ds <- Gen.listOfN(4, Gen.choose(0L, 200L))
+      docs = ds.distinct.map(CorpusGen.docOf(kind, _, seed)).toVector
+      nConds <- Gen.choose(1, 4)
+      conds <- Gen.listOfN(nConds, condIn(docs.flatten))
+      values <- docs.foldLeft(Gen.const(Vector.empty[List[String]])) { (acc, doc) =>
+        acc.flatMap(vs => Gen.choose(1, 3).flatMap(Gen.listOfN(_, valueIn(doc))).map(vs :+ _))
+      }
+      shuffleSeed <- Gen.choose(0L, Long.MaxValue)
+    } yield (docs, values, conds, new Random(shuffleSeed).shuffle(docs.indices.toVector))
+    val prop = Prop.forAllNoShrink(cases) { case (docs, values, conds, order) =>
+      val plan = Aggregator.SatPlan(Seq(Satisfying("x", conds, 0.0)), Nil)
+      def scoresIn(docOrder: Seq[Int]): (Map[Int, Seq[Long]], Aggregator.Lexicon) = {
+        val lex = new Aggregator.Lexicon(plan)
+        (docOrder.map { k =>
+          val tuples = values(k).map(v => SentenceEvaluator.Cand(docs(k).head.doc, docs(k).head.sid, Map("x" -> v)))
+          k -> Aggregator.aggregate(lex, tuples, docs(k)).rows.map(r => bits(r.scores("x")))
+        }.toMap, lex)
+      }
+      val (inOrder, lexIn) = scoresIn(docs.indices)
+      val (shuffled, lexShuffled) = scoresIn(order)
+      val words = docs.flatten.flatMap(_.toks.map(_.word))
+      if (words.exists(w => lexIn.id(w) != lexShuffled.id(w))) renumbered += 1
+      (inOrder == shuffled) :| s"$conds on $values, documents in order $order"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(29L), prop)
+    assert(res.passed, Pretty.pretty(res))
+    assert(renumbered > 0)
+  }
+
+  test("the lexicon gives words one id iff CaseFold folds them equal, under a Turkish default locale") {
+    val saved = Locale.getDefault
+    try {
+      Locale.setDefault(Locale.forLanguageTag("tr"))
+      val plan = Aggregator.SatPlan(Seq(Satisfying("x", Seq(CNear("x", "cafe TITLE", 1)), 0.0)), Nil)
+      val lex = new Aggregator.Lexicon(plan)
+      // The plan's own words come first: "cafe" is 0 and "title" is 1.
+      Seq("CAFE", "Cafe", "cafe").foreach(w => assert(lex.id(w) == 0, w))
+      Seq("title", "TITLE", "Title").foreach(w => assert(lex.id(w) == 1, w))
+      val same = Seq(Seq("ſ", "s", "S"), Seq("\u212A", "k", "K"), Seq("Σ", "σ", "ς"), Seq("I", "i", "ı", "İ"))
+      same.foreach(ws => assert(ws.map(lex.id).distinct.size == 1, ws))
+      val apart = Seq("ß", "ss", "café", "cafes", "s", "k", "i")
+      assert(apart.map(lex.id).distinct.size == apart.size)
+      assert(apart.forall(lex.id(_) > 1))
+    } finally Locale.setDefault(saved)
   }
 }
