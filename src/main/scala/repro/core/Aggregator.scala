@@ -358,7 +358,7 @@ object Aggregator {
     val rows = tuples.flatMap { c =>
       val scores = sats.indices.map(k => sats(k).v -> doc.score(k, c.vals(sats(k).v))).toMap
       val keep = sats.forall(sat => scores(sat.v) >= sat.threshold) &&
-        !plan.excluding.indices.exists(k => c.vals.get(plan.excluding(k)._1).exists(doc.excluded(k, _)))
+        !plan.excluding.indices.exists(k => doc.excluded(k, c.vals(plan.excluding(k)._1)))
       if (keep) Some(OutRow(c.doc, c.sid, c.vals, scores)) else None
     }
     DocRows(rows, doc.nScored)

@@ -66,9 +66,9 @@ object KokoEngine {
 
   /** A shard's output rows as columns, its counts and its busy nanoseconds
     * per stage. Row `i` is `(doc(i), sid(i))` with value `vals(k)(i)` for
-    * the query's `k`-th needed variable (null if the row has none) and
-    * score `scores(k)(i)` for its `k`-th satisfying clause: flat arrays
-    * serialize smaller and faster than one `OutRow` of `Map`s per row.
+    * the query's `k`-th needed variable and score `scores(k)(i)` for its
+    * `k`-th satisfying clause: flat arrays serialize smaller and faster
+    * than one `OutRow` of `Map`s per row.
     */
   private final case class ShardOut(
       doc: Array[Long], sid: Array[Long], vals: Array[Array[String]], scores: Array[Array[Double]],
@@ -77,7 +77,7 @@ object KokoEngine {
 
     def rows(valVars: Seq[String], scoreVars: Seq[String]): Seq[OutRow] = doc.indices.map { i =>
       Aggregator.OutRow(doc(i), sid(i),
-        valVars.indices.collect { case k if vals(k)(i) != null => valVars(k) -> vals(k)(i) }.toMap,
+        valVars.indices.map(k => valVars(k) -> vals(k)(i)).toMap,
         scoreVars.indices.map(k => scoreVars(k) -> scores(k)(i)).toMap)
     }
   }
@@ -141,7 +141,7 @@ object KokoEngine {
       }
     val out = rows.toArray
     ShardOut(out.map(_.doc), out.map(_.sid),
-      nq.neededVars.map(v => out.map(_.vals.getOrElse(v, null))).toArray,
+      nq.neededVars.map(v => out.map(_.vals(v))).toArray,
       nq.satisfying.map(sat => out.map(_.scores(sat.v))).toArray,
       cand.length, nLoaded, tuples.size, nDocs, nValues, dpliNs, loadNs, gspNs, extractNs, satNs)
   }

@@ -22,7 +22,7 @@ object Normalizer {
       excluding: Seq[SatCond]) {
 
     /** Variables whose values feed outputs or satisfying/excluding. */
-    def neededVars: Seq[String] =
+    val neededVars: Seq[String] =
       (outputs.map(_.name) ++ satisfying.map(_.v) ++ excluding.map(_.v)).distinct
   }
 
@@ -62,8 +62,20 @@ object Normalizer {
     freeEnts.find(_.typ == "Str").foreach { o =>
       throw KokoParser.ParseError(s"output ${o.name}:Str is not defined in the extract block")
     }
+    // Bind as the evaluator does (node variables, free entities, then each
+    // span in order): an atom or constraint reads only a bound variable.
+    val nodeVars = q.defs.collect { case NodeDef(n, _) => n }.toSet
+    val bound = q.defs.collect { case d: SpanDef => d }.foldLeft(nodeVars ++ freeEnts.map(_.name)) { (b, d) =>
+      d.atoms.foreach {
+        case AVar(v) if !b(v) => throw KokoParser.ParseError(s"span '${d.name}' reads variable '$v' before it is bound")
+        case ASubtree(v) if !nodeVars(v) => throw KokoParser.ParseError(s"subtree of '$v', which is not a node variable")
+        case _ => ()
+      }
+      b + d.name
+    }
+    q.constraints.flatMap { case CIn(a, c) => Seq(a, c); case CEqC(a, c) => Seq(a, c); case _ => Nil }
+      .find(!bound(_)).foreach(v => throw KokoParser.ParseError(s"constraint on unbound variable '$v'"))
     // A scored variable must be bound; a row reports one score per variable.
-    val bound = defNames ++ q.outputs.map(_.name)
     val satVars = q.satisfying.map(_.v)
     (satVars ++ q.excluding.map(_.v)).find(!bound(_)).foreach { v =>
       throw KokoParser.ParseError(s"satisfying/excluding clause on unbound variable '$v'")

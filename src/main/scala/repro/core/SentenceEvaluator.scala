@@ -40,16 +40,13 @@ object SentenceEvaluator {
   def valueOf(s: Sent, b: Binding): String =
     if (b.hi < b.lo) "" else (b.lo to b.hi).map(s.toks(_).word).mkString(" ")
 
-  /** One sentence's extract tuples (§4.3): for every GSP binding that binds
-    * all outputs, the values of the variables in `nq.neededVars`.
+  /** One sentence's extract tuples (§4.3): for every GSP binding, the
+    * values of the variables in `nq.neededVars` (a binding binds them all).
     */
-  def extract(nq: NormQuery, s: Sent, gspNs: Long => Unit = _ => ()): Seq[Cand] = {
-    val needed = nq.neededVars
-    evaluate(nq, s, useGsp = true, gspNs).flatMap { bound =>
-      val vals = needed.flatMap(v => bound.get(v).map(b => v -> valueOf(s, b))).toMap
-      if (nq.outputs.forall(o => vals.contains(o.name))) Some(Cand(s.doc, s.sid, vals)) else None
+  def extract(nq: NormQuery, s: Sent, gspNs: Long => Unit = _ => ()): Seq[Cand] =
+    evaluate(nq, s, useGsp = true, gspNs).map { bound =>
+      Cand(s.doc, s.sid, nq.neededVars.map(v => v -> valueOf(s, bound(v))).toMap)
     }
-  }
 
   def evaluate(
       nq: NormQuery,
@@ -83,9 +80,8 @@ object SentenceEvaluator {
 
     val atomCache = scala.collection.mutable.Map[Atom, Seq[Binding]]()
     def atomCands(a: Atom, bound: Map[String, Binding]): Seq[Binding] = a match {
-      case AVar(n) => bound.get(n).toSeq
-      case ASubtree(n) =>
-        bound.get(n).toSeq.filter(_.tid >= 0).map(b => Binding(spans.lo(b.tid), spans.hi(b.tid), -1))
+      case AVar(n) => Seq(bound(n))
+      case ASubtree(n) => Seq(Binding(spans.lo(bound(n).tid), spans.hi(bound(n).tid), -1))
       case other =>
         atomCache.getOrElseUpdate(other, other match {
           case APath(p) => PathMatcher.candidates(p, s).map(i => Binding(i, i, i))
@@ -171,17 +167,11 @@ object SentenceEvaluator {
 
     def checkConstraints(bound: Map[String, Binding]): Boolean = nq.constraints.forall {
       case CIn(a, b) =>
-        (for { x <- bound.get(a); y <- bound.get(b) }
-          yield !x.isEmptySpan && !y.isEmptySpan && x.lo >= y.lo && x.hi <= y.hi).getOrElse(true)
-      case CEqC(a, b) =>
-        (for { x <- bound.get(a); y <- bound.get(b) }
-          yield x.lo == y.lo && x.hi == y.hi).getOrElse(true)
-      case CParentOf(p, c) =>
-        (for { x <- bound.get(p); y <- bound.get(c) }
-          yield x.tid >= 0 && y.tid >= 0 && s.toks(y.tid).head == x.tid).getOrElse(true)
-      case CAncestorOf(a, d) =>
-        (for { x <- bound.get(a); y <- bound.get(d) }
-          yield x.tid >= 0 && y.tid >= 0 && TreeOps.isAncestorOf(s.toks, x.tid, y.tid)).getOrElse(true)
+        val (x, y) = (bound(a), bound(b))
+        !x.isEmptySpan && !y.isEmptySpan && x.lo >= y.lo && x.hi <= y.hi
+      case CEqC(a, b) => bound(a).lo == bound(b).lo && bound(a).hi == bound(b).hi
+      case CParentOf(p, c) => s.toks(bound(c).tid).head == bound(p).tid
+      case CAncestorOf(a, d) => TreeOps.isAncestorOf(s.toks, bound(a).tid, bound(d).tid)
     }
 
     // Node variables bind first, then free entity variables, then span

@@ -66,8 +66,9 @@ object Postings {
   * complete multi-index of its documents.
   *
   * Postings: W by word, by `plId` and by `posId` (token ordinals); E by
-  * entity type (the ordinal of each mention's first token); and a
-  * case-folded word ([[CaseFold]]) → sentence list for span word atoms.
+  * entity type (the ordinal of each mention's first token). The dictionary
+  * holds only words and entity types: a span word atom's sentences come
+  * from the postings of the words whose [[CaseFold]] it is.
   */
 final class Shard private (
     dict: Array[String],
@@ -86,8 +87,7 @@ final class Shard private (
     byWord: Postings,
     val byPl: Postings,
     val byPos: Postings,
-    byEtype: Postings,
-    byLower: Postings) extends Serializable {
+    byEtype: Postings) extends Serializable {
 
   def nSents: Int = sid.length
   def nTokens: Int = off(nSents)
@@ -113,7 +113,8 @@ final class Shard private (
   def wordPostings(w: String): Array[Int] = byWord(idOf(w))
 
   /** Sentences with a token whose case-folded word is `lower`. */
-  def lowerSentences(lower: String): Array[Int] = byLower(idOf(lower))
+  def lowerSentences(lower: String): Array[Int] =
+    sentencesOf(byWord.union(dict.indices.filter(i => CaseFold(dict(i)) == lower)))
 
   /** First-token ordinals of the mentions of entity type `typ`; of every
     * mention when `typ` is None.
@@ -230,25 +231,23 @@ object Shard {
     val off = sents.scanLeft(0)(_ + _._1.t)
     val n = off.last
     val strings = mutable.HashSet[String]()
-    sents.foreach(_._1.toks.foreach(t => strings ++= Seq(t.word, CaseFold(t.word), t.etype)))
+    sents.foreach(_._1.toks.foreach(t => strings ++= Seq(t.word, t.etype)))
     val dict = strings.toArray.sorted
     val id = dict.zipWithIndex.toMap
     def col() = new Array[Int](n)
-    val (word, lower, etype, head, eid) = (col(), col(), col(), col(), col())
+    val (word, etype, head, eid) = (col(), col(), col(), col())
     val (lo, hi, plId, posId) = (col(), col(), col(), col())
     val mentionStarts = Array.newBuilder[Int]
-    val (lowerKeys, lowerSents) = (Array.newBuilder[Int], Array.newBuilder[Int])
     sents.indices.foreach { s =>
       val (sent, m) = sents(s)
       sent.toks.foreach { t =>
         val o = off(s) + t.tid
-        word(o) = id(t.word); lower(o) = id(CaseFold(t.word)); etype(o) = id(t.etype)
+        word(o) = id(t.word); etype(o) = id(t.etype)
         head(o) = t.head; eid(o) = t.eid
         lo(o) = m.lo(t.tid); hi(o) = m.hi(t.tid)
         plId(o) = plIds(m.plPath(t.tid)); posId(o) = posIds(m.posPath(t.tid))
       }
       TreeOps.mentionRanges(sent.t, t => eid(off(s) + t)).foreach { case (first, _) => mentionStarts += off(s) + first }
-      lower.slice(off(s), off(s + 1)).distinct.foreach { k => lowerKeys += k; lowerSents += s }
     }
     val ords = Array.range(0, n)
     val starts = mentionStarts.result()
@@ -256,7 +255,6 @@ object Shard {
       byWord = Postings.group(dict.length, word, ords),
       byPl = Postings.group(plNodes.size, plId, ords),
       byPos = Postings.group(posNodes.size, posId, ords),
-      byEtype = Postings.group(dict.length, starts.map(etype), starts),
-      byLower = Postings.group(dict.length, lowerKeys.result(), lowerSents.result()))
+      byEtype = Postings.group(dict.length, starts.map(etype), starts))
   }
 }

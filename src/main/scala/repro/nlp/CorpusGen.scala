@@ -62,13 +62,13 @@ object CorpusGen {
     all.zipWithIndex.map { case (ts, k) => sent(doc, k, ts) }
   }
 
-  /** The planted cafe name of blog post `doc` (ground truth for quality
-    * benches). Must stay in sync with the draw order in [[cafeDoc]].
-    */
+  /** A blog post's cafe name: the first two draws of its generator. */
+  private def cafeName(rng: Random): (String, String) =
+    (Vocab.CafeFirst(rng.nextInt(Vocab.CafeFirst.size)), Vocab.CafeSecond(rng.nextInt(Vocab.CafeSecond.size)))
+
+  /** The planted cafe name of blog post `doc` (ground truth for quality benches). */
   def cafeNameOf(doc: Long, seed: Long): String = {
-    val rng = rngFor("cafe", doc, seed)
-    val f = Vocab.CafeFirst(rng.nextInt(Vocab.CafeFirst.size))
-    val s = Vocab.CafeSecond(rng.nextInt(Vocab.CafeSecond.size))
+    val (f, s) = cafeName(rngFor("cafe", doc, seed))
     s"$f $s"
   }
 
@@ -77,8 +77,7 @@ object CorpusGen {
     */
   def cafeDoc(doc: Long, seed: Long): Seq[Sent] = {
     val rng = rngFor("cafe", doc, seed)
-    val name = (Vocab.CafeFirst(rng.nextInt(Vocab.CafeFirst.size)),
-                Vocab.CafeSecond(rng.nextInt(Vocab.CafeSecond.size)))
+    val name = cafeName(rng)
     val signals = rng.shuffle(Seq[Random => Seq[Templates.T]](
       r => Templates.cafeServes(r, name),
       r => Templates.cafeAppos(r, name),

@@ -100,4 +100,26 @@ class NormalizerSpec extends AnyFunSuite {
     rejects(src, "z")
     rejects(src, "x")
   }
+
+  test("an in or eq constraint on a variable the query never binds is rejected") {
+    rejects("""extract a:Entity from f if ( /ROOT:{ v = //verb, b = v/dobj } (b) in (zz) )""", "zz")
+    rejects("""extract a:Entity from f if ( /ROOT:{ v = //verb, b = v/dobj } (zz) eq (b) )""", "zz")
+  }
+
+  test("a span atom that names an undefined variable is rejected") {
+    rejects("""extract x:Str from f if ( /ROOT:{ a = //verb, x = a + zz } )""", "zz")
+  }
+
+  test("a span atom that names a span defined later is rejected; defined earlier, it is accepted") {
+    rejects("""extract x:Str from f if ( /ROOT:{ a = //verb, x = a + y, y = ^[max="1"] } )""", "y")
+    val nq = norm("""extract x:Str from f if ( /ROOT:{ a = //verb, y = ^[max="1"], x = a + y } )""")
+    assert(nq.spanDefs.map(_.name) == Seq("y", "x"))
+  }
+
+  test(".subtree of a span, an entity or an undefined variable is rejected") {
+    rejects("""extract x:Str from f if ( /ROOT:{ a = //verb, y = a + ^, x = y.subtree } )""", "y")
+    rejects("""extract x:Str, e:Entity from f if ( /ROOT:{ a = //verb, x = e.subtree } )""", "e")
+    rejects("""extract x:Str from f if ( /ROOT:{ a = //verb, x = zz.subtree } )""", "zz")
+    assert(norm("""extract x:Str from f if ( /ROOT:{ a = //verb, x = a.subtree } )""").spanDefs.size == 1)
+  }
 }

@@ -2,7 +2,7 @@ package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.nlp.{CorpusGen, TreeOps}
+import repro.nlp.{CaseFold, CorpusGen, Sent, TreeOps}
 import scala.util.Random
 
 /** Shard-level checks that need no Spark. */
@@ -27,6 +27,35 @@ class ShardSpec extends AnyFunSuite {
       assert(sh.sents.toSeq == sorted, s"$kind, seed $seed")
       val depths = sorted.flatMap(s => TreeOps.spans(s.toks).depth)
       assert((0 until sh.nTokens).map(sh.depth) == depths, s"$kind, seed $seed")
+    }
+  }
+
+  test("the dictionary holds no word that occurs only in folded form; span words find every case of a word") {
+    assert(Fixtures.anna.toks.head.word == "Anna")
+    val fixtures = Shard.build(Fixtures.both.iterator)
+    assert(fixtures.idOf("Anna") >= 0)
+    assert(fixtures.idOf("anna") == -1)
+    assert(fixtures.lowerSentences("anna").toSeq == Seq(1))
+    val shouting = Fixtures.anna.copy(sid = 2, toks = Fixtures.anna.toks.map { t =>
+      if (t.tid == 0) t.copy(word = "ANNA") else if (t.word == "she") t.copy(word = "anna") else t
+    })
+    val sh = Shard.build((Fixtures.both :+ shouting).iterator)
+    assert(sh.idOf("anna") >= 0 && sh.idOf("ANNA") >= 0)
+    assert(sh.lowerSentences("anna").toSeq == Seq(1, 2))
+    assert(sh.lowerSentences("she").toSeq == Seq(1))
+    assert(sh.lowerSentences("absent").isEmpty)
+  }
+
+  test("lowerSentences equals a scan for tokens equal to the word ignoring case") {
+    for (kind <- Seq("happy", "wiki", "cafe"); seed <- Seq(5L, 6L)) {
+      val sents = (0L until 40L).flatMap(CorpusGen.docOf(kind, _, seed)).sortBy(_.sid)
+      val sh = Shard.build(sents.iterator)
+      val sampled = sents.flatMap(_.toks.map(_.word)).distinct.filter(_.exists(_.isLetter)).take(6)
+      val words = sampled ++ sampled.map(_.toUpperCase(java.util.Locale.ROOT)) :+ "Zyzzyva"
+      words.foreach { w =>
+        val scan = sents.indices.filter(i => sents(i).toks.exists(_.word.equalsIgnoreCase(w)))
+        assert(sh.lowerSentences(CaseFold(w)).toSeq == scan, s"$kind, seed $seed, word $w")
+      }
     }
   }
 }
