@@ -16,6 +16,10 @@ import repro.nlp.CaseFold
   *
   * Path word steps match words exactly; span word atoms match
   * case-insensitively (as [[PathMatcher]] and [[SentenceEvaluator]] do).
+  *
+  * Its result ([[bind]]) is the paper's candidate bindings: the candidate
+  * sentences, and in them each node variable's candidate tokens, which the
+  * evaluator validates instead of scanning every token.
   */
 object Dpli {
 
@@ -78,10 +82,10 @@ object Dpli {
     * right with the ancestor-descendant + depth-gap condition. Returns
     * the postings of the last word on the path.
     */
-  def lookupWordPath(sh: Shard, words: Seq[(Int, String)]): Option[Array[Int]] =
+  def lookupWordPath(sh: Shard, words: Seq[(Int, String)], within: Option[Array[Int]] = None): Option[Array[Int]] =
     words.headOption.map { case (first, w0) =>
-      words.tail.foldLeft((sh.wordPostings(w0), first)) { case ((cur, prevIdx), (idx, w)) =>
-        (below(sh, cur, sh.wordPostings(w), idx - prevIdx), idx)
+      words.tail.foldLeft((sh.wordPostings(w0, within), first)) { case ((cur, prevIdx), (idx, w)) =>
+        (below(sh, cur, sh.wordPostings(w, within), idx - prevIdx), idx)
       }._1
     }
 
@@ -89,28 +93,34 @@ object Dpli {
     * id sets. Enumerates the smaller side's postings and tests the other
     * side's id on each token (W stores both ids, §6.2.1).
     */
-  private def hierPostings(sh: Shard, plIds: Option[Array[Int]], posIds: Option[Array[Int]]): Array[Int] = {
+  private def hierPostings(
+      sh: Shard,
+      plIds: Option[Array[Int]],
+      posIds: Option[Array[Int]],
+      within: Option[Array[Int]]): Array[Int] = {
     def count(ids: Option[Array[Int]], size: Int => Int) = ids.fold(Int.MaxValue)(_.iterator.map(size).sum)
     val fromPl = count(plIds, sh.byPl.size) <= count(posIds, sh.byPos.size)
     val (ids, postings, other, column) =
       if (fromPl) (plIds.get, sh.byPl, posIds, sh.posId) else (posIds.get, sh.byPos, plIds, sh.plId)
-    val all = postings.union(ids)
+    val all = within.fold(postings.union(ids))(postings.unionWithin(ids, _, sh.off))
     other.fold(all) { o =>
       val keep = o.toSet
       all.filter(t => keep.contains(column(t)))
     }
   }
 
-  /** Candidate bindings (token ordinals) for one dominant path: lookups
-    * on the shard's own PL, POS and word indices joined per Algorithm 1.
-    * Falls back to every token only when the path constrains nothing (a
-    * descendant-axis wildcard).
+  /** Candidate bindings (token ordinals) for one decomposed path: lookups
+    * on the shard's own PL, POS and word indices joined per Algorithm 1;
+    * only inside the ascending sentences `within` when given, each posting
+    * list cut to their ordinals by a galloping cursor. Falls back to every
+    * token only when the path constrains nothing (a descendant-axis
+    * wildcard).
     */
-  def lookup(sh: Shard, dec: PathDecomposer.Decomposed): Array[Int] = {
+  def lookup(sh: Shard, dec: PathDecomposer.Decomposed, within: Option[Array[Int]] = None): Array[Int] = {
     val (plIds, posIds) = (dataguideIds(sh.plNodes, dec.pl), dataguideIds(sh.posNodes, dec.pos))
     // A path absent from an index has no ids, hence no postings (§4.2.2 Discussion).
-    val p = if (plIds.isEmpty && posIds.isEmpty) None else Some(hierPostings(sh, plIds, posIds))
-    val q = lookupWordPath(sh, dec.words)
+    val p = if (plIds.isEmpty && posIds.isEmpty) None else Some(hierPostings(sh, plIds, posIds, within))
+    val q = lookupWordPath(sh, dec.words, within)
     def gap = (dec.nSteps - 1) - dec.words.last._1
     (p, q) match {
       case (Some(pp), Some(qq)) => if (dec.lastIsWord) intersect(pp, qq) else below(sh, qq, pp, gap)
@@ -118,7 +128,7 @@ object Dpli {
       // word followed by wildcard steps: all tokens below the last word
       // with the residual depth gap
       case (None, Some(qq)) => if (dec.lastIsWord) qq else below(sh, qq, sh.tokensOf(sh.sentencesOf(qq)), gap)
-      case (None, None) => Array.range(0, sh.nTokens)
+      case (None, None) => within.fold(Array.range(0, sh.nTokens))(sh.tokensOf)
     }
   }
 
@@ -162,14 +172,59 @@ object Dpli {
     fromNodes ++ fromAtoms ++ fromEnts
   }
 
-  /** The shard's candidate sentences after DPLI: the intersection of the
-    * items' sentences; None when there is no item (empty extract clause —
-    * every sentence is considered, §4.3).
+  /** DPLI's part of a query: its pruning items, and each node variable's
+    * own decomposed path (in the order of `NormQuery.nodeDefs`).
     */
-  def candidates(sh: Shard, items: Seq[Item]): Option[Array[Int]] =
-    items.headOption.map { first =>
-      items.tail.foldLeft(first.sentences(sh)) { (acc, it) =>
-        if (acc.isEmpty) acc else intersect(acc, it.sentences(sh))
+  final case class Plan(items: Seq[Item], nodes: Seq[PathDecomposer.Decomposed])
+
+  def plan(nq: Normalizer.NormQuery): Plan =
+    Plan(items(nq), nq.nodeDefs.map(d => PathDecomposer.decompose(d.path)))
+
+  /** DPLI's bindings on one shard (§4.2.2): the candidate sentences,
+    * ascending, and per node variable the token ordinals in them that may
+    * bind it — a superset of those that do.
+    */
+  final class Bound(val sents: Array[Int], ords: Array[Array[Int]]) {
+
+    /** Per candidate sentence, in the order of `sents`: each node
+      * variable's token ids in it.
+      */
+    def tokenIds(sh: Shard): Iterator[Array[Array[Int]]] = {
+      val pos = new Array[Int](ords.length)
+      sents.iterator.map { s =>
+        val (base, end) = (sh.off(s), sh.off(s + 1))
+        Array.tabulate(ords.length) { v =>
+          val (a, from) = (ords(v), pos(v))
+          while (pos(v) < a.length && a(pos(v)) < end) pos(v) += 1
+          Array.tabulate(pos(v) - from)(k => a(from + k) - base)
+        }
       }
     }
+  }
+
+  /** The shard's candidate sentences after DPLI, the intersection of the
+    * items' sentences, with each node variable's token ordinals in them: a
+    * variable whose own path is a path item reuses that item's ordinals,
+    * and any other looks its path up inside the candidates only. None when
+    * there is no item (empty extract clause — every sentence is
+    * considered, §4.3).
+    */
+  def bind(sh: Shard, plan: Plan): Option[Bound] =
+    plan.items.headOption.map { first =>
+      val looked = scala.collection.mutable.HashMap[PathDecomposer.Decomposed, Array[Int]]()
+      def sentences(it: Item): Array[Int] = it match {
+        case PathItem(dec) => sh.sentencesOf(looked.getOrElseUpdate(dec, lookup(sh, dec)))
+        case _ => it.sentences(sh)
+      }
+      val sents = plan.items.tail.foldLeft(sentences(first)) { (acc, it) =>
+        if (acc.isEmpty) acc else intersect(acc, sentences(it))
+      }
+      new Bound(sents, plan.nodes.map { dec =>
+        if (sents.isEmpty) Array.emptyIntArray
+        else looked.get(dec).fold(lookup(sh, dec, Some(sents)))(sh.within(_, sents))
+      }.toArray)
+    }
+
+  /** The shard's candidate sentences after DPLI (see [[bind]]). */
+  def candidates(sh: Shard, items: Seq[Item]): Option[Array[Int]] = bind(sh, Plan(items, Nil)).map(_.sents)
 }

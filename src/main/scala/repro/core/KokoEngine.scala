@@ -8,19 +8,24 @@ import repro.index.{Indexes, Shard}
 /** The KOKO engine: the pipeline of Figure 2 on Spark, one job per query.
   *
   *  1. Normalize   — parse + §4.1 normalization, decomposing the query's
-  *                   paths into DPLI's pruning items ([[Dpli.items]]),
-  *                   and compiling the satisfying/excluding clauses into
-  *                   an [[Aggregator.SatPlan]], before the job;
+  *                   paths into DPLI's pruning items and each node
+  *                   variable's own path ([[Dpli.plan]]), and compiling
+  *                   the satisfying/excluding clauses into an
+  *                   [[Aggregator.SatPlan]], before the job;
   *
   * then one Spark job with one task per document-partitioned [[Shard]]
   * (no shuffle), the query shipped inside the task (`QueryTask`):
   *
   *  2. DPLI        — §4.2 dataguide matching and posting-list merges
-  *                   in the shard ([[Dpli]]): its candidate sentences;
+  *                   in the shard ([[Dpli.bind]]): its candidate
+  *                   sentences, and in them each node variable's
+  *                   candidate tokens (its bindings);
   *  3. LoadArticle — the candidate sentences as [[repro.nlp.Sent]]s, and
   *                   the other sentences of the documents step 5 scores;
-  *  4. GSP+extract — per-sentence skip plan + extract clause
-  *                   ([[SentenceEvaluator.extract]]);
+  *  4. GSP+extract — per-sentence skip plan + extract clause, the query's
+  *                   compiled evaluator validating only DPLI's bindings
+  *                   of each node variable
+  *                   ([[SentenceEvaluator.Compiled.extract]]);
   *  5. Aggregate   — satisfying/excluding per document that has tuples
   *                   ([[Aggregator.aggregate]] with the compiled plan)
   *                   over its shard-local sentences.
@@ -104,17 +109,20 @@ object KokoEngine {
   }
 
   /** Steps 2–5 on one shard. */
-  private def runShard(nq: Normalizer.NormQuery, items: Seq[Dpli.Item], plan: Aggregator.SatPlan, sh: Shard): ShardOut = {
+  private def runShard(nq: Normalizer.NormQuery, dpli: Dpli.Plan, plan: Aggregator.SatPlan, sh: Shard): ShardOut = {
     var t = System.nanoTime()
     def lap(): Long = { val t0 = t; t = System.nanoTime(); t - t0 }
 
-    val cand = Dpli.candidates(sh, items).getOrElse(Array.range(0, sh.nSents))
+    val bound = Dpli.bind(sh, dpli)
+    val cand = bound.fold(Array.range(0, sh.nSents))(_.sents)
+    val tokens = bound.map(_.tokenIds(sh))
     val dpliNs = lap()
     val loaded = cand.map(sh.sent)
     var nLoaded = loaded.length.toLong
     var loadNs = lap()
     var gspNs = 0L
-    val tuples = loaded.toSeq.flatMap(s => SentenceEvaluator.extract(nq, s, gspNs += _))
+    val evaluator = nq.evaluator
+    val tuples = loaded.toSeq.flatMap(s => evaluator.extract(s, tokens.map(_.next()), gspNs += _))
     val extractNs = lap() - gspNs
 
     var satNs = 0L
@@ -151,10 +159,10 @@ object KokoEngine {
     * parse on every query; the query's parts are its fields and travel in
     * the stage's task binary, which Spark broadcasts once per stage.
     */
-  private final class QueryTask(nq: Normalizer.NormQuery, items: Seq[Dpli.Item], plan: Aggregator.SatPlan)
+  private final class QueryTask(nq: Normalizer.NormQuery, dpli: Dpli.Plan, plan: Aggregator.SatPlan)
       extends ((TaskContext, Iterator[Shard]) => Array[ShardOut]) with Serializable {
     def apply(ctx: TaskContext, shards: Iterator[Shard]): Array[ShardOut] =
-      shards.map(runShard(nq, items, plan, _)).toArray
+      shards.map(runShard(nq, dpli, plan, _)).toArray
   }
 
   def run(
@@ -170,14 +178,14 @@ object KokoEngine {
     */
   private[core] def run(spark: SparkSession, q: Ast.KokoQuery, built: Indexes.Built, start: Long): Result = {
     val nq = Normalizer.normalize(q)
-    val items = Dpli.items(nq)
+    val dpli = Dpli.plan(nq)
     val tNorm = (System.nanoTime() - start) / 1e9
     val t0 = System.nanoTime()
     val plan = Aggregator.SatPlan(nq)
     val tPlan = (System.nanoTime() - t0) / 1e9
 
     val parts = new Array[Array[ShardOut]](built.shards.getNumPartitions)
-    spark.sparkContext.runJob(built.shards, new QueryTask(nq, items, plan), parts.indices,
+    spark.sparkContext.runJob(built.shards, new QueryTask(nq, dpli, plan), parts.indices,
       (i: Int, out: Array[ShardOut]) => parts(i) = out)
     val outs = parts.flatten
 

@@ -24,6 +24,11 @@ object Normalizer {
     /** Variables whose values feed outputs or satisfying/excluding. */
     val neededVars: Seq[String] =
       (outputs.map(_.name) ++ satisfying.map(_.v) ++ excluding.map(_.v)).distinct
+
+    /** The extract clause compiled once per query (and once per
+      * deserialized copy: it is not shipped with the query).
+      */
+    @transient lazy val evaluator: SentenceEvaluator.Compiled = SentenceEvaluator.compile(this)
   }
 
   def normalize(q: KokoQuery): NormQuery = {
@@ -32,7 +37,7 @@ object Normalizer {
     val nodeDefs = Vector.newBuilder[NodeDef]
     val spanDefs = Vector.newBuilder[SpanDef]
 
-    def resolve(p: PathExpr, forVar: Option[String]): PathExpr = p.anchor match {
+    def resolve(p: PathExpr, forVar: Option[String]): PathExpr = (p.anchor match {
       case None => p
       case Some(a) =>
         val base = abs.getOrElse(a,
@@ -42,6 +47,10 @@ object Normalizer {
           else derived += CAncestorOf(a, v)
         }
         PathExpr(None, base.steps ++ p.steps)
+    }) match {
+      case ap if ap.steps.sizeIs > PathMatcher.MaxSteps =>
+        throw KokoParser.ParseError(s"a path of ${ap.steps.size} steps; at most ${PathMatcher.MaxSteps} are allowed")
+      case ap => ap
     }
 
     q.defs.foreach {

@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.nlp.{Sent, Tok, TreeOps}
+import java.util.regex.Pattern
+import repro.nlp.{Sent, Tok}
 
 /** Exact evaluation of an absolute path expression against a dependency
   * tree — the validation the paper performs in the skip-plan stage
@@ -10,57 +11,91 @@ import repro.nlp.{Sent, Tok, TreeOps}
 object PathMatcher {
   import Ast._
 
-  def stepMatches(st: Step, tok: Tok): Boolean = {
-    val labOk = st.label match {
-      case LStar => true
-      case LParse(l) => tok.label == l
-      case LPos(p) => tok.pos == p
-      case LWord(w) => tok.word == w
-    }
-    labOk && st.conds.forall { c =>
-      c.attr match {
-        case "pos" => tok.pos == c.value
-        case "text" => tok.word == c.value
-        case "etype" => tok.etype == c.value
-        case "label" => tok.label == c.value
-        case "regex" => tok.word.matches(c.value)
-        case _ => true // min/max only apply to elastic spans
+  /** The most steps a path may have: [[matchesChain]] keeps one bit per step. */
+  val MaxSteps = 63
+
+  /** One step's label and conditions, its regexes compiled once. */
+  private final class StepTest(st: Step) {
+    private val regexes = st.conds.collect { case StepCond("regex", re) => Pattern.compile(re) }
+
+    def apply(tok: Tok): Boolean = {
+      val labOk = st.label match {
+        case LStar => true
+        case LParse(l) => tok.label == l
+        case LPos(p) => tok.pos == p
+        case LWord(w) => tok.word == w
       }
+      labOk && st.conds.forall { c =>
+        c.attr match {
+          case "pos" => tok.pos == c.value
+          case "text" => tok.word == c.value
+          case "etype" => tok.etype == c.value
+          case "label" => tok.label == c.value
+          case _ => true // regex below; min/max only apply to elastic spans
+        }
+      } && regexes.forall(_.matcher(tok.word).matches())
     }
   }
 
   /** Match path axes against a root-to-target chain of `n` nodes, token or
     * dataguide label; `ok(i, j)` says whether step `i` holds at node `j`. A
     * child step consumes the next node; a descendant step skips ≥0 nodes
-    * first. The last step must consume the target itself.
+    * first. The last step must consume the target itself. One pass down
+    * the chain keeps, as bit `i` of a mask, "steps `0 until i` matched the
+    * nodes so far".
     */
-  def matchesChain(axes: IndexedSeq[Axis], n: Int)(ok: (Int, Int) => Boolean): Boolean = {
-    val ns = axes.size
-    // memo over (step idx, chain idx)
-    val memo = Array.fill(ns + 1, n + 1)(0: Byte) // 0 unknown, 1 true, 2 false
-    def m(i: Int, j: Int): Boolean = {
-      if (i == ns) return j == n
-      if (j >= n) return false
-      if (memo(i)(j) != 0) return memo(i)(j) == 1
-      val r = axes(i) match {
-        case Child => ok(i, j) && m(i + 1, j + 1)
-        case Desc => (j until n).exists(k => ok(i, k) && m(i + 1, k + 1))
+  def matchesChain(axes: IndexedSeq[Axis], n: Int)(ok: (Int, Int) => Boolean): Boolean =
+    matchesChain(descMask(axes), axes.size, n, ok)
+
+  /** Bit `i` set iff step `i` has the descendant axis. */
+  private def descMask(axes: Seq[Axis]): Long = {
+    require(axes.size <= MaxSteps, s"a path has at most $MaxSteps steps")
+    axes.zipWithIndex.foldLeft(0L) { case (m, (a, i)) => if (a == Desc) m | (1L << i) else m }
+  }
+
+  private def matchesChain(desc: Long, ns: Int, n: Int, ok: (Int, Int) => Boolean): Boolean = {
+    var states = 1L
+    var j = 0
+    while (j < n && states != 0) {
+      var next = 0L
+      var i = 0
+      while (i < ns) {
+        if ((states & (1L << i)) != 0) {
+          next |= desc & (1L << i)
+          if (ok(i, j)) next |= 1L << (i + 1)
+        }
+        i += 1
       }
-      memo(i)(j) = if (r) 1 else 2
-      r
+      states = next
+      j += 1
     }
-    m(0, 0)
+    (states & (1L << ns)) != 0
+  }
+
+  /** An absolute path compiled once: its axes and step tests. */
+  final class Compiled(path: PathExpr) {
+    require(path.isAbsolute, "PathMatcher requires absolute paths")
+    private val desc = descMask(path.steps.map(_.axis))
+    private val tests = path.steps.map(new StepTest(_)).toArray
+
+    /** True iff token `tid` of `s` satisfies the path. */
+    def matches(s: Sent, tid: Int): Boolean = {
+      var n = 0
+      var cur = tid
+      while (cur >= 0) { n += 1; cur = s.toks(cur).head }
+      val chain = new Array[Int](n)
+      cur = tid
+      while (cur >= 0) { n -= 1; chain(n) = cur; cur = s.toks(cur).head }
+      matchesChain(desc, tests.length, chain.length, (i, j) => tests(i)(s.toks(chain(j))))
+    }
   }
 
   /** True iff token `tid` of `s` satisfies the absolute path. */
-  def matches(path: PathExpr, s: Sent, tid: Int): Boolean = {
-    require(path.isAbsolute, "PathMatcher requires absolute paths")
-    val steps = path.steps.toIndexedSeq
-    val chain = TreeOps.chainTo(s.toks, tid).toIndexedSeq
-    matchesChain(steps.map(_.axis), chain.size)((i, j) => stepMatches(steps(i), s.toks(chain(j))))
-  }
+  def matches(path: PathExpr, s: Sent, tid: Int): Boolean = new Compiled(path).matches(s, tid)
 
   /** All tokens of `s` satisfying the absolute path. */
-  def candidates(path: PathExpr, s: Sent): Seq[Int] =
-    s.toks.indices.filter(matches(path, s, _))
+  def candidates(path: PathExpr, s: Sent): Seq[Int] = {
+    val m = new Compiled(path)
+    s.toks.indices.filter(m.matches(s, _))
+  }
 }

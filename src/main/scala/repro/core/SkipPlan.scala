@@ -21,16 +21,20 @@ object SkipPlan {
 
   /** Indices of atoms to skip for one span definition. */
   def plan(atoms: Seq[Atom], t: Int, candCount: Atom => Int): Set[Int] = {
-    val m = atoms.size
-    if (m <= 1) return Set.empty
-    val costs = atoms.zipWithIndex.map { case (a, i) => i -> cost(a, t, candCount) }
-    val sorted = costs.sortBy { case (i, c) => (-c, i) }
-    val skip = scala.collection.mutable.Set[Int]()
-    sorted.foreach { case (i, _) =>
-      val leftOk = i == 0 || !skip.contains(i - 1)
-      val rightOk = i == m - 1 || !skip.contains(i + 1)
-      if (leftOk && rightOk) skip += i
+    val skip = plan(atoms.map(cost(_, t, candCount)).toArray)
+    skip.indices.filter(skip).toSet
+  }
+
+  /** Which atoms to skip, given their costs in order: `skip(i)` for atom `i`. */
+  def plan(costs: Array[Double]): Array[Boolean] = {
+    val m = costs.length
+    val skip = new Array[Boolean](m)
+    if (m <= 1) return skip
+    // Atom indices by descending cost, ties by index (the sort is stable).
+    val order = Array.range(0, m).sortBy(i => -costs(i))
+    order.foreach { i =>
+      if ((i == 0 || !skip(i - 1)) && (i == m - 1 || !skip(i + 1))) skip(i) = true
     }
-    skip.toSet
+    skip
   }
 }

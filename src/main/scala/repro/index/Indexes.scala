@@ -28,8 +28,8 @@ final case class HierNode(id: Int, path: String, label: String, depth: Int)
   * document into cached [[Shard]]s:
   *
   *  - `shards`   — the only cached data: per shard, the sentences as
-  *    columns, its PL/POS dataguides and the W / E / case-folded-word
-  *    posting lists;
+  *    columns, its PL/POS dataguides and the W (by word, `plId` and
+  *    `posId`) and E (by entity type) posting lists;
   *  - `plNodes`/`posNodes` — the union of the shards' dataguides (tiny by
   *    construction — verified in tests), whose ids the W view reports;
   *  - `sentences`, `tokens`, `word` (W(word, x, y, u, v, d, plId, posId))

@@ -32,9 +32,94 @@ final class Postings private (start: Array[Int], items: Array[Int]) extends Seri
     Arrays.sort(out)
     out
   }
+
+  /** The postings of `key` inside the ascending sentences `sents`, where
+    * sentence `s` holds the ordinals `off(s) until off(s + 1)`.
+    */
+  def within(key: Int, sents: Array[Int], off: Array[Int]): Array[Int] =
+    if (has(key)) Postings.cut(items, start(key), start(key + 1), sents, off) else Array.emptyIntArray
+
+  /** [[union]] of the keys' postings inside the sentences `sents` (see [[within]]). */
+  def unionWithin(keys: Iterable[Int], sents: Array[Int], off: Array[Int]): Array[Int] = {
+    val out = Array.concat(keys.iterator.map(within(_, sents, off)).toSeq: _*)
+    Arrays.sort(out)
+    out
+  }
+
+  /** The ascending distinct sentences that hold a posting of one of `keys`
+    * (sentence `s` holds the ordinals `off(s) until off(s + 1)`): a merge of
+    * the keys' lists that, after each sentence found, gallops every list to
+    * the next sentence's first ordinal.
+    */
+  def sentences(keys: Array[Int], off: Array[Int]): Array[Int] = {
+    val ks = keys.filter(has)
+    val pos = ks.map(start(_))
+    val end = ks.map(k => start(k + 1))
+    val out = new mutable.ArrayBuilder.ofInt
+    var s = 0
+    var more = true
+    while (more) {
+      var min = Int.MaxValue
+      var i = 0
+      while (i < ks.length) { if (pos(i) < end(i) && items(pos(i)) < min) min = items(pos(i)); i += 1 }
+      more = min != Int.MaxValue
+      if (more) {
+        s = Postings.sentenceFrom(off, s, min)
+        out += s
+        i = 0
+        while (i < ks.length) { pos(i) = Postings.seek(items, pos(i), end(i), off(s + 1)); i += 1 }
+      }
+    }
+    out.result()
+  }
 }
 
 object Postings {
+
+  /** The first index in `[i, until)` of ascending `a` whose item is `≥ x`
+    * (`until` if none): galloping from `i`, then a binary search.
+    */
+  private[index] def seek(a: Array[Int], i: Int, until: Int, x: Int): Int =
+    if (i >= until || a(i) >= x) i
+    else {
+      var lo = i // a(lo) < x
+      var step = 1
+      while (lo + step < until && a(lo + step) < x) { lo += step; step <<= 1 }
+      val k = Arrays.binarySearch(a, lo + 1, math.min(lo + step, until), x)
+      if (k >= 0) k else -k - 1
+    }
+
+  /** The sentence that holds ordinal `o`, from sentence `from ≤` it on
+    * (sentence `s` holds `off(s) until off(s + 1)`): a forward cursor that
+    * steps through `off` and binary-searches only after eight misses.
+    */
+  private[index] def sentenceFrom(off: Array[Int], from: Int, o: Int): Int = {
+    var s = from
+    var misses = 0
+    while (off(s + 1) <= o && misses < 8) { s += 1; misses += 1 }
+    if (off(s + 1) > o) s
+    else {
+      val i = Arrays.binarySearch(off, s + 1, off.length, o)
+      if (i >= 0) i else -i - 2
+    }
+  }
+
+  /** The items of ascending `a(from until until)` that lie in the ascending
+    * sentences `sents` (see [[sentenceFrom]]): a forward cursor that
+    * gallops to each sentence's first ordinal.
+    */
+  private[index] def cut(a: Array[Int], from: Int, until: Int, sents: Array[Int], off: Array[Int]): Array[Int] = {
+    val out = new mutable.ArrayBuilder.ofInt
+    var i = from
+    var k = 0
+    while (k < sents.length && i < until) {
+      i = seek(a, i, until, off(sents(k)))
+      val end = off(sents(k) + 1)
+      while (i < until && a(i) < end) { out += a(i); i += 1 }
+      k += 1
+    }
+    out.result()
+  }
 
   /** Groups `items(i)` under `keys(i)` (keys in `[0, nKeys)`). The sort is
     * stable, so each list keeps the order of `items`.
@@ -109,12 +194,15 @@ final class Shard private (
 
   def tid(o: Int): Int = o - off(sentOf(o))
 
-  /** Postings of an exact word. */
-  def wordPostings(w: String): Array[Int] = byWord(idOf(w))
+  /** Postings of an exact word; only those inside the ascending sentences
+    * `within` when given.
+    */
+  def wordPostings(w: String, within: Option[Array[Int]] = None): Array[Int] =
+    within.fold(byWord(idOf(w)))(byWord.within(idOf(w), _, off))
 
   /** Sentences with a token whose case-folded word is `lower`. */
   def lowerSentences(lower: String): Array[Int] =
-    sentencesOf(byWord.union(dict.indices.filter(i => CaseFold(dict(i)) == lower)))
+    byWord.sentences(dict.indices.filter(i => CaseFold(dict(i)) == lower).toArray, off)
 
   /** First-token ordinals of the mentions of entity type `typ`; of every
     * mention when `typ` is None.
@@ -124,16 +212,22 @@ final class Shard private (
     case None => byEtype.union(dict.indices)
   }
 
-  /** Ascending distinct sentences of ascending token ordinals. */
+  /** Ascending distinct sentences of ascending token ordinals, found by a
+    * forward cursor over `off`.
+    */
   def sentencesOf(ords: Array[Int]): Array[Int] = {
-    val out = Array.newBuilder[Int]
+    val out = new mutable.ArrayBuilder.ofInt
+    var s = 0
     var last = -1
     ords.foreach { o =>
-      val s = sentOf(o)
+      s = Postings.sentenceFrom(off, s, o)
       if (s != last) { out += s; last = s }
     }
     out.result()
   }
+
+  /** The ascending token ordinals `ords` that lie in the ascending sentences `sents`. */
+  def within(ords: Array[Int], sents: Array[Int]): Array[Int] = Postings.cut(ords, 0, ords.length, sents, off)
 
   /** Every token ordinal of the given ascending sentences. */
   def tokensOf(sents: Array[Int]): Array[Int] =
@@ -151,10 +245,14 @@ final class Shard private (
   /** LoadArticle: sentence `s` as the evaluator reads it. */
   def sent(s: Int): Sent = {
     val base = off(s)
-    Sent(doc(s), sid(s), ArraySeq.unsafeWrapArray(Array.tabulate(off(s + 1) - base) { t =>
+    val toks = new Array[Tok](off(s + 1) - base)
+    var t = 0
+    while (t < toks.length) {
       val o = base + t
-      Tok(t, dict(word(o)), posNodes(posId(o)).label, plNodes(plId(o)).label, head(o), dict(etype(o)), eid(o))
-    }))
+      toks(t) = Tok(t, dict(word(o)), posNodes(posId(o)).label, plNodes(plId(o)).label, head(o), dict(etype(o)), eid(o))
+      t += 1
+    }
+    Sent(doc(s), sid(s), ArraySeq.unsafeWrapArray(toks))
   }
 
   def sents: Iterator[Sent] = Iterator.range(0, nSents).map(sent)

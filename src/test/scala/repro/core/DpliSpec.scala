@@ -158,6 +158,57 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
     assert(res.passed, Pretty.pretty(res))
   }
 
+  test("DPLI's bindings are complete at the token level over corpus kind, seed and size (scalacheck)") {
+    val cases = for {
+      kind <- Gen.oneOf("happy", "wiki", "cafe")
+      seed <- Gen.choose(0L, 10000L)
+      nDocs <- Gen.choose(5L, 120L)
+    } yield (kind, seed, nDocs)
+    // Every token PathMatcher accepts for a node variable in a candidate
+    // sentence must be among the token ids DPLI hands the evaluator.
+    val prop = Prop.forAllNoShrink(cases) { case (kind, seed, nDocs) =>
+      val sents = (0L until nDocs).flatMap(CorpusGen.docOf(kind, _, seed)).sortBy(_.sid)
+      val sh = Shard.build(sents.iterator)
+      val queries = SyntheticQueries.treeQueries(sents, 1, seed).map(tq => (tq.name, tq.query)) ++
+        Seq(1, 3, 5).flatMap(n => SyntheticQueries.spanQueries(sents, n, 2, seed).map(sq => (sq.name, sq.q)))
+      Prop.all(queries.map { case (name, q) =>
+        val nq = Normalizer.normalize(q)
+        val bound = repro.core.Dpli.bind(sh, repro.core.Dpli.plan(nq))
+        val missed = bound.toSeq.flatMap { b =>
+          b.sents.iterator.zip(b.tokenIds(sh)).flatMap { case (s, tokens) =>
+            val sent = sents(s)
+            nq.nodeDefs.indices.flatMap { i =>
+              PathMatcher.candidates(nq.nodeDefs(i).path, sent).filterNot(tokens(i).contains)
+                .map(tid => (sent.sid, nq.nodeDefs(i).name, tid))
+            }
+          }
+        }
+        missed.isEmpty :| s"$kind seed $seed, $nDocs docs, $name: DPLI dropped ${missed.take(5)}\n$q"
+      }: _*)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10).withInitialSeed(43L), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("Table 2's queries bind the same per sentence from DPLI's token ids as from every token (200 wiki docs)") {
+    val sents = (0L until 200L).flatMap(CorpusGen.docOf("wiki", _, 42)).sortBy(_.sid)
+    val sh = Shard.build(sents.iterator)
+    repro.bench.Table2Harness.Queries.foreach { case (name, src) =>
+      val nq = Normalizer.normalize(KokoParser.parse(src))
+      val b = repro.core.Dpli.bind(sh, repro.core.Dpli.plan(nq)).get
+      assert(b.sents.nonEmpty, name)
+      var nBindings = 0
+      b.sents.iterator.zip(b.tokenIds(sh)).foreach { case (s, tokens) =>
+        val viaDpli = nq.evaluator.evaluate(sents(s), useGsp = true, Some(tokens))
+        assert(viaDpli == SentenceEvaluator.evaluate(nq, sents(s), useGsp = true), s"$name, sentence ${sents(s).sid}")
+        nBindings += viaDpli.size
+      }
+      assert(nBindings > 0, name)
+      val truth = NaiveKoko.matchingSids(nq, sents)
+      assert(truth.subsetOf(b.sents.map(sh.sid(_)).toSet), name)
+    }
+  }
+
   test("DPLI is complete: bindings contain every true match (random corpus)") {
     import spark.implicits._
     val corpus = CorpusGen.corpus(spark, "wiki", 40, seed = 17)

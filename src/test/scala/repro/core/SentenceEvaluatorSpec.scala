@@ -6,7 +6,7 @@ import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.bench.SyntheticQueries
-import repro.nlp.{CorpusGen, Sent, Templates}
+import repro.nlp.{CorpusGen, Sent, Templates, Tok}
 import scala.util.Random
 
 class SentenceEvaluatorSpec extends AnyFunSuite {
@@ -195,5 +195,18 @@ class SentenceEvaluatorSpec extends AnyFunSuite {
   test("valueOf renders empty elastic spans as empty strings") {
     assert(SentenceEvaluator.valueOf(fig1, SentenceEvaluator.Binding(3, 2, -1)) == "")
     assert(SentenceEvaluator.valueOf(fig1, SentenceEvaluator.Binding(3, 5, -1)) == "chocolate ice cream")
+  }
+
+  test("a sentence just past the evaluator's work cap fails naming its sid; one just under evaluates") {
+    // noGSP on x = ^ + ^ + "zzz" over t tokens without "zzz" enumerates the
+    // first elastic's E candidates, the second's E per first, and no third:
+    // E + E² candidates, with E = (t + 1)(t + 2) / 2 spans, empty ones included.
+    def work(t: Long) = { val e = (t + 1) * (t + 2) / 2; e + e * e }
+    val t = Iterator.from(1).find(t => work(t + 1L) > SentenceEvaluator.MaxWork).get
+    def chain(n: Int, sid: Long) = Sent(sid / 64, sid, (0 until n).map(i => Tok(i, "w", "noun", "dep", i - 1, "", -1)))
+    val nq = norm("""extract x:Str from f if ( /ROOT:{ x = ^ + ^ + "zzz" } )""")
+    assert(SentenceEvaluator.evaluate(nq, chain(t, 321), useGsp = false).isEmpty)
+    val e = intercept[IllegalArgumentException](SentenceEvaluator.evaluate(nq, chain(t + 1, 322), useGsp = false))
+    assert(e.getMessage.contains("sentence 322"), e.getMessage)
   }
 }

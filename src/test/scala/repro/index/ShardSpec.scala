@@ -1,5 +1,8 @@
 package repro.index
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.nlp.{CaseFold, CorpusGen, Sent, TreeOps}
@@ -57,5 +60,32 @@ class ShardSpec extends AnyFunSuite {
         assert(sh.lowerSentences(CaseFold(w)).toSeq == scan, s"$kind, seed $seed, word $w")
       }
     }
+  }
+
+  test("the sentence cursor and the word merge equal a binary search per ordinal and a union, sort and search (scalacheck)") {
+    val cases = for {
+      kind <- Gen.oneOf("happy", "wiki", "cafe")
+      seed <- Gen.choose(0L, 10000L)
+      nDocs <- Gen.choose(1L, 60L)
+      keep <- Gen.choose(1, 4)
+    } yield (kind, seed, nDocs, keep)
+    val prop = Prop.forAllNoShrink(cases) { case (kind, seed, nDocs, keep) =>
+      val sents = (0L until nDocs).flatMap(CorpusGen.docOf(kind, _, seed)).sortBy(_.sid)
+      val sh = Shard.build(sents.iterator)
+      def bySearch(ords: Array[Int]) = ords.map(sh.sentOf).distinct.toSeq
+      val words = sents.flatMap(_.toks.map(_.word)).distinct
+      val within = (0 until sh.nSents).filter(_ % keep == 0).toArray
+      Prop.all(words.map { w =>
+        val ords = sh.wordPostings(w)
+        val sameCase = words.filter(CaseFold(_) == CaseFold(w)).map(sh.wordPostings(_))
+        val union = Array.concat(sameCase: _*).sorted
+        (sh.sentencesOf(ords).toSeq == bySearch(ords) &&
+          sh.lowerSentences(CaseFold(w)).toSeq == bySearch(union) &&
+          sh.wordPostings(w, Some(within)).toSeq == ords.filter(o => within.contains(sh.sentOf(o))).toSeq) :|
+          s"$kind seed $seed, $nDocs docs, word $w"
+      }: _*)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(41L), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 }
